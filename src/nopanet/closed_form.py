@@ -5,8 +5,8 @@ Two derivation routes for the chain scalars (u, v) live here:
 * a pair of scalar recurrences (m_k, n_k) driven by the static coefficients,
   giving u and v directly; and
 * cofactor determinants of the loop-elimination matrix, evaluated both from
-  closed recursion formulas and by literally assembling the three banded
-  block matrices and calling the LU determinant.
+  closed recursion formulas and by LU on the elimination matrix that the
+  chain network builds and on its two first-row minors.
 
 The sign of uv selects the optimal output phase-shift configuration, and
 the optimal squeezing per quadrature pair is 2 (|u| - |v|)^2.
@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import DegenerateRecurrenceError, DimensionError, NumericalError
 from .linalg import determinant
-from .static_limit import R, StaticCoefficients
+from .network import PassiveNetwork
+from .static_limit import StaticCoefficients, elimination_matrix
 
 # Optimal phase-shift classes, keyed by the sign of uv.
 THETA_SUM_PI = "sum-is-pi"  # |theta_a + theta_b| = pi
@@ -127,138 +128,33 @@ def optimal_thetas(result: ClosedFormResult) -> list[tuple[float, float]]:
 
 # --- determinant route -------------------------------------------------------
 #
-# The loop-elimination matrix of the chain has determinant det(T3); removing
-# the first row and the third (resp. (4N-3)-th) column, then padding back to
-# square with an identity row/column, gives T1 (resp. T2).  All three are
-# banded block matrices assembled below from fixed 4x4 tiles; their
-# determinants satisfy the same scalar recursion as the closed route.
-
-_O2 = np.zeros((2, 2))
-_I2 = np.eye(2)
+# The loop-elimination matrix I - S22 (I (x) W12) of the chain has
+# determinant det(T3); removing its first row and its third (resp. (4N-3)-th)
+# column, then padding back to square with a leading identity row/column,
+# gives T1 (resp. T2).  Their determinants satisfy the same scalar recursion
+# as the closed route.
 
 
-def _t1_corner_blocks(h1, h2):
-    t1b = np.block([[_O2, _O2], [-h2 * R, -h1 * _I2]])
-    t1c = np.block([[-h1 * _I2, -h2 * R], [_O2, _O2]])
-    return t1b, t1c
-
-
-def _t1d(m, n):
-    return np.block([[_I2, _O2], [m * R, n * _I2]])
-
-
-def _t1_base(h1, h2, m, n):
-    return np.array(
-        [
-            [1, 0, 0, 0, 0, 0, 0, 0],
-            [0, 0, 1, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, -h2, 0, -h1, 0],
-            [0, 0, 0, 1, 0, h2, 0, -h1],
-            [0, -h1, 0, 0, 1, 0, 0, 0],
-            [0, 0, -h1, h2, 0, 1, 0, 0],
-            [0, 0, 0, 0, m, 0, n, 0],
-            [0, 0, 0, 0, 0, -m, 0, n],
-        ],
-        dtype=float,
-    )
-
-
-def _t2a(h1, h2, m, n):
-    return np.array(
-        [
-            [0, n, 0, -m],
-            [0, 0, 1, 0],
-            [0, 0, 0, 1],
-            [-h1, 0, -h2, 0],
-        ],
-        dtype=float,
-    )
-
-
-def _t2_corner_blocks(h1, h2):
-    t2b = np.array(
-        [
-            [0, 0, 0, 0],
-            [-h2, 0, -h1, 0],
-            [0, h2, 0, -h1],
-            [1, 0, 0, 0],
-        ],
-        dtype=float,
-    )
-    t2c = np.array(
-        [
-            [0, -h1, 0, h2],
-            [0, 0, 0, 0],
-            [0, 0, 0, 0],
-            [0, 0, 0, 0],
-        ],
-        dtype=float,
-    )
-    return t2b, t2c
-
-
-def _t2_base(h1, h2, m, n):
-    return np.array(
-        [
-            [0, n, 0, -m, 0, 0, 0, 0],
-            [0, 0, 1, 0, 0, -h1, 0, 0],
-            [0, 0, 0, 1, h2, 0, -h1, 0],
-            [-h1, 0, -h2, 0, 0, 0, 0, 0],
-            [0, -h1, 0, h2, 1, 0, 0, 0],
-            [0, 0, 0, 0, 0, 1, 0, 0],
-            [0, 0, 0, 0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 0, 0, 0, 1],
-        ],
-        dtype=float,
-    )
+def _first_row_minor(t: np.ndarray, col: int) -> np.ndarray:
+    """``t`` without row 0 and column ``col``, behind a leading identity row/column."""
+    m = np.eye(t.shape[0])
+    m[1:, 1:] = np.delete(t[1:], col, axis=1)
+    return m
 
 
 def t1_matrix(coeffs: StaticCoefficients, n: int) -> np.ndarray:
-    """Assembled cofactor matrix whose determinant yields p_{3,1}."""
-    h1, h2 = coeffs.h1, coeffs.h2
-    t1b, t1c = _t1_corner_blocks(h1, h2)
-    t = _t1_base(h1, h2, m=0.0, n=1.0)
-    for level in range(3, n + 1):
-        size = 4 * (level - 1)
-        t = np.block(
-            [
-                [t, np.vstack([np.zeros((size - 4, 4)), t1b])],
-                [np.hstack([np.zeros((4, size - 4)), t1c]), _t1d(0.0, 1.0)],
-            ]
-        )
-    return t
+    """Cofactor matrix whose determinant yields p_{3,1}."""
+    return _first_row_minor(t3_matrix(coeffs, n), 2)
 
 
 def t2_matrix(coeffs: StaticCoefficients, n: int) -> np.ndarray:
-    """Assembled cofactor matrix whose determinant yields p_{4N-3,1}."""
-    h1, h2 = coeffs.h1, coeffs.h2
-    t2b, t2c = _t2_corner_blocks(h1, h2)
-    t = _t2_base(h1, h2, m=0.0, n=1.0)
-    for level in range(3, n + 1):
-        size = 4 * (level - 1)
-        t = np.block(
-            [
-                [_t2a(h1, h2, 0.0, 1.0), np.hstack([t2b, np.zeros((4, size - 4))])],
-                [np.vstack([t2c, np.zeros((size - 4, 4))]), t],
-            ]
-        )
-    return t
+    """Cofactor matrix whose determinant yields p_{4N-3,1}."""
+    return _first_row_minor(t3_matrix(coeffs, n), 4 * n - 4)
 
 
 def t3_matrix(coeffs: StaticCoefficients, n: int) -> np.ndarray:
-    """Assembled loop-elimination matrix (determinant route denominator)."""
-    h1, h2 = coeffs.h1, coeffs.h2
-    t3b, t3c = _t1_corner_blocks(h1, h2)
-    t = np.block([[np.eye(4), t3b], [t3c, _t1d(0.0, 1.0)]])
-    for level in range(3, n + 1):
-        size = 4 * (level - 1)
-        t = np.block(
-            [
-                [t, np.vstack([np.zeros((size - 4, 4)), t3b])],
-                [np.hstack([np.zeros((4, size - 4)), t3c]), _t1d(0.0, 1.0)],
-            ]
-        )
-    return t
+    """Loop-elimination matrix of the N-NOPA chain (determinant route denominator)."""
+    return elimination_matrix(coeffs, PassiveNetwork.cfb(n))
 
 
 def _closed_determinants(coeffs: StaticCoefficients, n: int, rec: RecurrenceResult):
@@ -277,17 +173,18 @@ def determinant_path(coeffs: StaticCoefficients, n: int):
     """(u, v) via cofactor determinants, cross-checked two ways.
 
     Evaluates det(T1), det(T2), det(T3) both from the closed recursion
-    formulas and by LU on the explicitly assembled block matrices; any
-    relative disagreement beyond 1e-9 is an error.  Returns the pair from
-    the assembled-matrix route.
+    formulas and by LU on the chain's elimination matrix and its two
+    first-row minors; any relative disagreement beyond 1e-9 is an error.
+    Returns the pair from the matrix route.
     """
     _require_lossless(coeffs)
     if n < 2:
         raise ValueError(f"determinant route requires N >= 2, got {n}")
     rec = recurrences(coeffs, n)
     closed = _closed_determinants(coeffs, n, rec)
+    t3 = t3_matrix(coeffs, n)
     assembled = tuple(
-        determinant(t) for t in (t1_matrix(coeffs, n), t2_matrix(coeffs, n), t3_matrix(coeffs, n))
+        determinant(t) for t in (_first_row_minor(t3, 2), _first_row_minor(t3, 4 * n - 4), t3)
     )
     for name, c_val, a_val in zip(("T1", "T2", "T3"), closed, assembled):
         if abs(c_val - a_val) > DETPATH_TOL * max(1.0, abs(c_val)):

@@ -107,16 +107,25 @@ def transfer(ss: StateSpace, omega: float) -> np.ndarray:
     return ss.c @ resolvent @ ss.b + ss.d
 
 
+def scaled_response(r: float, k: float, w: float) -> NopaFrequencyResponse:
+    """The four NOPA coefficients in units of gamma.
+
+    r = epsilon/gamma, k = kappa/gamma and w = 2 omega/gamma.  This is the one
+    formula for the single-NOPA response; the static (infinite bandwidth)
+    coefficients are its real parts at w = 0.
+    """
+    denom = complex(r**2 - (1.0 + k) ** 2 + w**2, -2.0 * (1.0 + k) * w)
+    if abs(denom) < 1e-12 * max(r, 1.0 + k, abs(w)) ** 2:
+        raise PoleError(f"NOPA response has a pole at r={r}, k={k}, w={w}")
+    root = math.sqrt(k)
+    return NopaFrequencyResponse(
+        h1=complex(r**2 - k**2 + 1.0 + w**2, -2.0 * k * w) / denom,
+        h2=2.0 * r / denom,
+        h3=2.0 * root * complex(1.0 + k, w) / denom,
+        h4=2.0 * r * root / denom,
+    )
+
+
 def nopa_response(p: NopaParams, omega: float) -> NopaFrequencyResponse:
     """The four frequency-dependent NOPA coefficients at angular frequency omega."""
-    s = p.gamma + p.kappa + 2j * omega
-    denom = p.epsilon**2 - s**2
-    if abs(denom) < 1e-12 * max(p.epsilon, p.gamma + p.kappa, abs(2 * omega), 1.0) ** 2:
-        raise PoleError(f"NOPA response has a pole at omega={omega}")
-    root = math.sqrt(p.gamma * p.kappa)
-    return NopaFrequencyResponse(
-        h1=(p.epsilon**2 + p.gamma**2 - (p.kappa + 2j * omega) ** 2) / denom,
-        h2=2 * p.epsilon * p.gamma / denom,
-        h3=2 * root * s / denom,
-        h4=2 * p.epsilon * root / denom,
-    )
+    return scaled_response(p.epsilon / p.gamma, p.kappa / p.gamma, 2.0 * omega / p.gamma)

@@ -26,6 +26,9 @@ K_REF = 3e6 / (math.sqrt(2) * 0.6 * GAMMA_R_REF)
 
 UNITARITY_TOL = 1e-10
 
+# Quadrature action of multiplication by i on one field mode.
+_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
 
 @dataclass(frozen=True)
 class NopaParams:
@@ -111,8 +114,8 @@ def to_quadrature(s) -> np.ndarray:
 
     For a unitary S acting on m field annihilation operators, returns the
     2m x 2m real orthogonal symplectic matrix acting on the interleaved
-    (q, p) quadratures:  S_quad = (K S K* + K# S# K^T) / 2  with
-    K = I_m (x) [1, -i]^T.
+    (q, p) quadratures: each entry s becomes the 2x2 block
+    [[Re s, -Im s], [Im s, Re s]].
     """
     a = as_matrix(s)
     if a.shape[0] != a.shape[1]:
@@ -124,14 +127,7 @@ def to_quadrature(s) -> np.ndarray:
             deviation=dev,
             worst_index=worst,
         )
-    k = kron(np.eye(a.shape[0]), np.array([[1.0], [-1.0j]]))
-    sq = 0.5 * (k @ a @ k.conj().T) + 0.5 * (k.conj() @ a.conj() @ k.T)
-    residue = np.max(np.abs(sq.imag))
-    if residue > 1e-12:
-        raise UnitarityError(
-            f"quadrature form has imaginary residue {residue:.3e}", deviation=residue
-        )
-    return sq.real
+    return np.kron(a.real, np.eye(2)) + np.kron(a.imag, _QUARTER_TURN)
 
 
 def partition(s_quad) -> Blocks:

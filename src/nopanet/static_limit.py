@@ -1,8 +1,10 @@
 """Infinite-bandwidth (static) model and the parity-patterned block algebra.
 
 In the static limit each NOPA acts as a constant 4x8 quadrature map
-[W12 | W34]; eliminating the network loop gives the 4 x (4 + 4N) transfer
-of the whole system, exact at omega = 0.  The feedback-elimination matrix
+[W12 | W34] whose coefficients are the omega = 0 values of
+``dynamics.scaled_response``; eliminating the network loop once, through
+``elimination_matrix``, gives the 4 x (4 + 4N) transfer of the whole system,
+exact at omega = 0.  The feedback-elimination matrix
 I - S22 (I (x) W12) for the chain topology belongs to a closed class of
 block matrices (scalar * I2 on even parity, scalar * R on odd parity, with
 central symmetry) that makes the chain transfer reduce to two scalars u, v.
@@ -10,12 +12,12 @@ central symmetry) that makes the chain transfer reduce to two scalars u, v.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError, SingularMatrixError, StructureError, WellPosednessError
+from .dynamics import scaled_response
+from .errors import SingularMatrixError, StructureError, WellPosednessError
 from .linalg import inverse, kron
 from .network import PassiveNetwork
 
@@ -53,7 +55,9 @@ class StaticTransfer:
 def static_coefficients(x: float, y: float, big_k: float = 0.0) -> StaticCoefficients:
     """Static NOPA coefficients from the dimensionless (x, y, K) parameters.
 
-    x = 0 is the pump-off edge: h1 = -1 and the other coefficients vanish.
+    The real parts of the NOPA response at omega = 0, with epsilon/gamma = xy
+    and kappa/gamma = Kxy.  x = 0 is the pump-off edge: h1 = -1 and the other
+    coefficients vanish.
     """
     if not 0 <= x <= 1:
         raise ValueError(f"x must be in [0, 1], got {x}")
@@ -62,18 +66,9 @@ def static_coefficients(x: float, y: float, big_k: float = 0.0) -> StaticCoeffic
     if big_k < 0:
         raise ValueError(f"K must be nonnegative, got {big_k}")
     r = x * y
-    denom = r**2 - (1.0 + big_k * r) ** 2
-    if abs(denom) < 1e-12:
-        raise PoleError(f"static coefficients have a pole at xy={r}, K={big_k}")
-    root = math.sqrt(big_k * r)
+    h = scaled_response(r, big_k * r, 0.0)
     return StaticCoefficients(
-        h1=((1.0 - big_k**2) * r**2 + 1.0) / denom,
-        h2=2.0 * r / denom,
-        h3=2.0 * root * (1.0 + big_k * r) / denom,
-        h4=2.0 * r * root / denom,
-        x=x,
-        y=y,
-        big_k=big_k,
+        h1=h.h1.real, h2=h.h2.real, h3=h.h3.real, h4=h.h4.real, x=x, y=y, big_k=big_k
     )
 
 
@@ -96,8 +91,9 @@ def single_nopa_transfer(coeffs: StaticCoefficients) -> np.ndarray:
 def static_transfer(coeffs: StaticCoefficients, net: PassiveNetwork) -> StaticTransfer:
     """Static transfer of the N-NOPA loop behind an arbitrary passive network.
 
-    H = (S11 + S12 Wi P S21) [I 0] + S12 (I + Wi P S22) Wl [0 I]
-    with Wi = I (x) W12, Wl = I (x) W34 and P = (I - S22 Wi)^{-1}.
+    H = (S11 + S12 Wi P S21) [I 0] + (S12 + S12 Wi P S22) Wl [0 I]
+    with Wi = I (x) W12, Wl = I (x) W34 and P the inverse of
+    ``elimination_matrix``, I - S22 Wi.
     The loss columns are always present; they vanish when K = 0.
     """
     n = net.n_nopas
@@ -106,14 +102,15 @@ def static_transfer(coeffs: StaticCoefficients, net: PassiveNetwork) -> StaticTr
     wi = kron(np.eye(n), w12)
     wl = kron(np.eye(n), w34)
     try:
-        p_n = inverse(np.eye(4 * n) - s22 @ wi)
+        p_n = inverse(elimination_matrix(coeffs, net))
     except SingularMatrixError as exc:
         raise WellPosednessError(
             "static loop elimination is singular; the finite-bandwidth system "
             f"is unstable or marginally stable ({exc})"
         ) from exc
-    direct = s11 + s12 @ wi @ p_n @ s21
-    loss = s12 @ (np.eye(4 * n) + wi @ p_n @ s22) @ wl
+    s12_wi_p = s12 @ wi @ p_n
+    direct = s11 + s12_wi_p @ s21
+    loss = (s12 + s12_wi_p @ s22) @ wl
     h_n = np.hstack([direct, loss])
     return StaticTransfer(h_n=h_n, p_n=p_n, w12=w12, w34=w34, n_nopas=n, coeffs=coeffs)
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nopanet import cfb_topology
+from nopanet import cfb_topology, closed_form, static_coefficients
 from nopanet.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, EXIT_VERIFY, main
 
 
@@ -178,6 +178,19 @@ class TestTheoremCommand:
         header, row = out.read_text().strip().splitlines()
         assert "v_opt" in header.split(",")
 
+    def test_physical_params(self, tmp_path):
+        # epsilon/gamma = 0.06; the static limit depends on that ratio alone
+        cfg = write_json(
+            tmp_path / "phys.json",
+            {"params": {"epsilon": 3e6, "gamma": 5e7}, "topology": "cfb", "n_nopas": 3},
+        )
+        out = tmp_path / "phys.out"
+        assert main(["theorem", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        expected = closed_form(static_coefficients(0.06, 1.0), 3)
+        assert doc["u"] == expected.u
+        assert doc["v"] == expected.v
+
     def test_lossy_rejected(self, tmp_path):
         cfg = write_json(
             tmp_path / "lossy.json",
@@ -211,6 +224,21 @@ class TestCompareCommand:
         assert [r[2] for r in rows] == ["true"] * 2 + ["false"] * 7
         for r in rows:
             assert int(r[0]) * float(r[1]) ** 2 == pytest.approx(10 * 0.13**2, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "preset, note",
+        [("x10-caption", "n = 4, 5, 6, 7, 8, 9, 10 are unstable"), ("x10-text", None)],
+        ids=("x10-caption", "x10-text"),
+    )
+    def test_unstable_rows_noted_on_stderr(self, tmp_path, capsys, preset, note):
+        cfg = write_json(tmp_path / "cmp.json", {"preset": preset})
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp.csv")]) == EXIT_OK
+        err = capsys.readouterr().err
+        if note is None:
+            assert err == ""
+        else:
+            assert err.count("\n") == 1
+            assert note in err and "not reachable" in err
 
     def test_explicit_x_ref_matches_preset(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -250,6 +278,13 @@ class TestVerifyCommand:
         text = out.read_text()
         assert "passed: 25" in text
         assert "failed: 0" in text
+
+    def test_omega_zero_check_scales_with_transfer(self, tmp_path):
+        # a stable N = 3 chain near its margin: max|H(0)| ~ 2.4e3, gap ~ 1.4e-9
+        out = tmp_path / "verify.txt"
+        code = main(["verify", "--seed", "1473955740", "--trials", "5", "--out", str(out)])
+        assert code == EXIT_OK
+        assert "failed: 0" in out.read_text()
 
     def test_deterministic_output(self, tmp_path):
         blobs = []

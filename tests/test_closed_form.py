@@ -26,6 +26,7 @@ from nopanet.closed_form import (
     t3_matrix,
 )
 from nopanet.errors import DegenerateRecurrenceError
+from nopanet.static_limit import elimination_matrix
 
 
 class TestRecurrences:
@@ -173,6 +174,29 @@ class TestDeterminantPath:
     def test_rejects_single_nopa(self):
         with pytest.raises(ValueError):
             determinant_path(static_coefficients(0.1, 1.0), 1)
+
+
+class TestAssembledMatricesComeFromTheNetwork:
+    GRID = [
+        (n, x, y)
+        for n in range(2, 11)
+        for x in (0.0, 0.02, 0.05, 0.1, 0.3)
+        for y in (0.5, 1.0)
+    ]
+
+    def test_t3_is_the_chain_elimination_matrix(self):
+        for n, x, y in self.GRID:
+            c = static_coefficients(x, y)
+            assert np.array_equal(t3_matrix(c, n), elimination_matrix(c, PassiveNetwork.cfb(n)))
+
+    def test_t1_t2_are_first_row_minors(self):
+        # det(T1), det(T2): T3 without row 1 and column 3, resp. column 4N-3
+        for n, x, y in self.GRID:
+            c = static_coefficients(x, y)
+            t3 = elimination_matrix(c, PassiveNetwork.cfb(n))
+            for t, col in ((t1_matrix(c, n), 2), (t2_matrix(c, n), 4 * n - 4)):
+                minor = np.linalg.det(np.delete(np.delete(t3, 0, axis=0), col, axis=1))
+                assert abs(np.linalg.det(t) - minor) <= 1e-12 * max(1.0, abs(minor))
 
 
 class TestThreePathGrid:

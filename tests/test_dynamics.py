@@ -18,7 +18,7 @@ from nopanet import (
     transfer,
 )
 from nopanet.errors import PoleError, WellPosednessError
-from nopanet.network import GAMMA_R_REF
+from nopanet.network import GAMMA_R_REF, K_REF
 from nopanet.static_limit import elimination_matrix
 from tests.test_network import random_unitary
 
@@ -180,12 +180,16 @@ class TestNopaResponse:
         assert fr.h2 == fr.h3 == fr.h4 == 0.0
 
     def test_static_limit_values(self):
-        p = NopaParams.from_normalized(0.3, 0.9)
-        fr = nopa_response(p, 0.0)
-        c = static_coefficients(0.3, 0.9)
-        assert fr.h1.real == pytest.approx(c.h1, rel=1e-12)
-        assert fr.h2.real == pytest.approx(c.h2, rel=1e-12)
-        assert fr.h1.imag == fr.h2.imag == 0.0
+        for x in (0.0, 0.05, 0.3, 0.7):
+            for y in (0.5, 0.9, 1.0):
+                for big_k in (0.0, K_REF, 0.3):
+                    fr = nopa_response(NopaParams.from_normalized(x, y, big_k), 0.0)
+                    c = static_coefficients(x, y, big_k)
+                    for h, h_static in zip(
+                        (fr.h1, fr.h2, fr.h3, fr.h4), (c.h1, c.h2, c.h3, c.h4)
+                    ):
+                        assert h.real == pytest.approx(h_static, rel=1e-12, abs=1e-15)
+                        assert h.imag == 0.0
 
     def test_lossless_symplectic_identity_at_zero(self):
         fr = nopa_response(NopaParams.from_normalized(0.4, 1.0), 0.0)

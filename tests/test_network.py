@@ -132,6 +132,16 @@ class TestToQuadrature:
             rhs = to_quadrature(a) @ to_quadrature(b)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
+    def test_real_imaginary_block_form(self):
+        # each complex entry s becomes [[Re s, -Im s], [Im s, Re s]]
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        rng = np.random.default_rng(41)
+        unitaries = [cfb_topology(n) for n in (1, 2, 5, 12, 39)]
+        unitaries += [random_unitary(rng, dim) for dim in (1, 2, 4, 6, 10, 24)]
+        for a in unitaries:
+            expected = np.kron(a.real, np.eye(2)) + np.kron(a.imag, rot)
+            assert np.array_equal(to_quadrature(a), expected)
+
     def test_rejects_non_unitary(self):
         bad = np.eye(4, dtype=complex)
         bad[0, 0] = 1.001
