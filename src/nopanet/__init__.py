@@ -2,7 +2,8 @@
 
 Library layout:
 
-* ``linalg``       dense matrix kernel (det, inverse, spectra, Hurwitz)
+* ``linalg``       dense matrix kernel (det, condition-checked solve and inverse,
+                   spectra, Hurwitz)
 * ``network``      NOPA parameters and the passive interconnect
 * ``dynamics``     finite-bandwidth state space and transfer function
 * ``static_limit`` infinite-bandwidth transfer and the L-pattern algebra

@@ -129,12 +129,30 @@ def _omega_grid(cfg: dict) -> np.ndarray:
     return values * scale_factor
 
 
+def _view_coefficients(view: dict):
+    """Static coefficients of the parsed parameters.
+
+    The normalized style rejects x > 1 while parsing, so a larger x here is
+    an epsilon/gamma from the physical style, and the message says so.
+    """
+    if view["x"] > 1:
+        raise ConfigError(f"the static limit needs epsilon/gamma <= 1, got {view['x']:.6g}")
+    return static_coefficients(view["x"], view["y"], view["K"])
+
+
 def _thetas_from_config(cfg: dict, view: dict, net: PassiveNetwork):
+    """Output phases; "optimal" takes the static optimum.
+
+    That optimum comes from the closed form for lossless chains and from
+    the phase-grid search on the static transfer when K > 0.
+    """
     ta, tb = cfg.get("theta_a", 0.0), cfg.get("theta_b", 0.0)
     if ta == "optimal" or tb == "optimal":
-        coeffs = static_coefficients(view["x"], view["y"], view["K"])
-        result = closed_form(coeffs, net.n_nopas)
-        return optimal_thetas(result)[0]
+        coeffs = _view_coefficients(view)
+        if view["K"] == 0:
+            return optimal_thetas(closed_form(coeffs, net.n_nopas))[0]
+        found = entanglement.vanishing_search(static_transfer(coeffs, net).h_n)
+        return found.psi1, found.psi2
     return float(ta), float(tb)
 
 
@@ -219,7 +237,7 @@ def cmd_theorem(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    coeffs = static_coefficients(view["x"], view["y"], 0.0)
+    coeffs = _view_coefficients(view)
     result = closed_form(coeffs, net.n_nopas)
     st = static_transfer(coeffs, net)
     u_m, v_m = static_limit.extract_uv(st)

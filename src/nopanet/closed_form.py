@@ -89,7 +89,10 @@ def _uv_from_recurrence(coeffs: StaticCoefficients, n: int, rec: RecurrenceResul
     denom = h1 * h2 * rec.m_last + rec.n_last - h2**2 * rec.n_last
     if abs(denom) < RECURRENCE_GUARD:
         raise DegenerateRecurrenceError("terminal recurrence denominator vanished")
-    u = h1**n / (denom * rec.n_prod)
+    try:
+        u = h1**n / (denom * rec.n_prod)
+    except OverflowError as exc:
+        raise NumericalError(f"h1**N overflows at N={n}: |h1| = {abs(h1):.6g}") from exc
     v = h2 - h1**2 * (h1 * rec.m_last - h2 * rec.n_last) / denom
     return u, v
 
@@ -163,9 +166,12 @@ def _closed_determinants(coeffs: StaticCoefficients, n: int, rec: RecurrenceResu
     m_l, n_l = rec.m_last, rec.n_last
     denom = h1 * h2 * m_l + n_l - h2**2 * n_l
     inner = rec.n_prod  # prod_{k=0}^{N-2} n_k, with n_0 = 1
-    det_t1 = inner**2 * (-h1 * (h1 * m_l - h2 * n_l) * denom)
-    det_t2 = h1 ** (n - 1) * denom * inner
-    det_t3 = denom**2 * inner**2
+    try:
+        det_t1 = inner**2 * (-h1 * (h1 * m_l - h2 * n_l) * denom)
+        det_t2 = h1 ** (n - 1) * denom * inner
+        det_t3 = denom**2 * inner**2
+    except OverflowError as exc:
+        raise NumericalError(f"closed determinants overflow at N={n}") from exc
     return det_t1, det_t2, det_t3
 
 

@@ -9,12 +9,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import PoleError, SingularMatrixError, StabilityError, WellPosednessError
-from .linalg import eigenvalues, inverse, kron
+from .errors import (
+    DimensionError,
+    PoleError,
+    SingularMatrixError,
+    StabilityError,
+    WellPosednessError,
+)
+from .linalg import eigenvalues, inverse, kron, solve
 from .network import NopaParams, PassiveNetwork
+
+# Step of the Weyl sequence that fills the resolvent's probe column.
+_PROBE_STEP = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -27,6 +37,18 @@ class StateSpace:
     d: np.ndarray  # 4 x (4 + 4N)
     n_nopas: int
     params: NopaParams
+
+    @cached_property
+    def _resolvent_rhs(self) -> np.ndarray:
+        """[C^T | z]: the right-hand sides ``transfer`` solves (i w I - A)^T against.
+
+        z is a fixed probe column, a Weyl sequence spread over (-1, 1) with
+        no symmetry of the network, so only by accident is it orthogonal to the
+        resolvent's near-null directions, including those C does not see.
+        """
+        dim = self.a.shape[0]
+        probe = 2.0 * np.modf(_PROBE_STEP * np.arange(1, dim + 1))[0] - 1.0
+        return np.column_stack([self.c.T, probe])
 
 
 @dataclass(frozen=True)
@@ -95,16 +117,29 @@ def stability(p: NopaParams, net: PassiveNetwork) -> StabilityReport:
     )
 
 
-def transfer(ss: StateSpace, omega: float) -> np.ndarray:
-    """Frequency response H(i w) = C (i w I - A)^{-1} B + D."""
+def transfer(ss: StateSpace, omega) -> np.ndarray:
+    """Frequency response H(i w) = C (i w I - A)^{-1} B + D.
+
+    ``omega`` is a scalar, giving one 4 x (4 + 4N) matrix, or a 1-d array,
+    giving a stack of them, one per frequency, from one batched solve that
+    holds len(omega) complex 4N x 4N matrices.  The resolvent is never formed:
+    (i w I - A)^T X = [C^T | z] is solved and H = X[:, :4]^T B + D; the
+    probe column z (see ``StateSpace._resolvent_rhs``) is there for the
+    condition check of ``linalg.solve``.
+    """
+    w = np.asarray(omega, dtype=float)
+    if w.ndim > 1:
+        raise DimensionError(f"omega must be a scalar or a 1-d array, got shape {w.shape}")
     dim = ss.a.shape[0]
+    resolvent_t = np.multiply.outer(1j * w, np.eye(dim)) - ss.a.T
     try:
-        resolvent = inverse(1j * omega * np.eye(dim) - ss.a)
+        x = solve(resolvent_t, ss._resolvent_rhs)
     except SingularMatrixError as exc:
+        at = w if exc.index is None else w[exc.index]
         raise StabilityError(
-            f"resolvent singular at omega={omega}: system marginally stable ({exc})"
+            f"resolvent singular at omega={float(at)}: system marginally stable ({exc})"
         ) from exc
-    return ss.c @ resolvent @ ss.b + ss.d
+    return np.swapaxes(x[..., :4], -1, -2) @ ss.b + ss.d
 
 
 def scaled_response(r: float, k: float, w: float) -> NopaFrequencyResponse:

@@ -15,13 +15,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dynamics import StateSpace, transfer
 from .errors import DimensionError, StabilityError
 from .linalg import eigenvalues
 
 SHOT_NOISE_TOTAL = 4.0
+
+# Frequencies per batched transfer in a spectrum: bounds the transient stack
+# to 64 complex 4N x 4N matrices (about 3 MB at N = 9) for any grid size.
+SPECTRUM_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -45,15 +48,21 @@ class VanishingSearchResult:
     vanished: bool  # no phase pair beats the shot-noise total
 
 
+def _rotation_rows(theta_a: float, theta_b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The q and p rows of the output rotation by (theta_a, theta_b)."""
+    ca, sa = math.cos(theta_a), math.sin(theta_a)
+    cb, sb = math.cos(theta_b), math.sin(theta_b)
+    return np.array([ca, -sa, cb, -sb]), np.array([sa, ca, -sb, -cb])
+
+
 def squeezing(h, theta_a: float = 0.0, theta_b: float = 0.0, omega: float | None = None) -> SqueezingResult:
     """Two-mode squeezing of a 4-row transfer matrix (real or complex)."""
     a = np.asarray(h)
     if a.ndim != 2 or a.shape[0] != 4:
         raise DimensionError(f"transfer must have 4 rows, got shape {a.shape}")
-    ca, sa = math.cos(theta_a), math.sin(theta_a)
-    cb, sb = math.cos(theta_b), math.sin(theta_b)
-    hq = np.array([ca, -sa, cb, -sb]) @ a
-    hp = np.array([sa, ca, -sb, -cb]) @ a
+    q_row, p_row = _rotation_rows(theta_a, theta_b)
+    hq = q_row @ a
+    hp = p_row @ a
     v_plus = float(np.real(np.vdot(hq, hq)))
     v_minus = float(np.real(np.vdot(hp, hp)))
     total = v_plus + v_minus
@@ -74,20 +83,45 @@ def squeezing_spectrum(
     theta_a: float = 0.0,
     theta_b: float = 0.0,
 ) -> list[SqueezingResult]:
-    """Per-frequency squeezing of a stable closed loop."""
+    """Per-frequency squeezing of a stable closed loop.
+
+    The transfer is evaluated in batches of ``SPECTRUM_CHUNK`` frequencies,
+    and V+/V- are the squared norms of the two rotated rows of each H.
+    """
     spec = eigenvalues(ss.a)
     if np.max(spec.real) >= 0:
         raise StabilityError(
             f"system is unstable (spectral abscissa {np.max(spec.real):.3e}); "
             "squeezing spectra are meaningless"
         )
+    w = np.asarray(omegas, dtype=float)
+    if w.ndim != 1:
+        raise DimensionError(f"omegas must be a 1-d sequence, got shape {w.shape}")
+    rows = np.stack(_rotation_rows(theta_a, theta_b))
+    variances = np.empty((len(w), 2))
+    for start in range(0, len(w), SPECTRUM_CHUNK):
+        rotated = rows @ transfer(ss, w[start : start + SPECTRUM_CHUNK])
+        variances[start : start + SPECTRUM_CHUNK] = np.sum(
+            rotated.real**2 + rotated.imag**2, axis=-1
+        )
     return [
-        squeezing(transfer(ss, w), theta_a, theta_b, omega=float(w)) for w in omegas
+        SqueezingResult(
+            omega=omega,
+            theta_a=theta_a,
+            theta_b=theta_b,
+            v_plus=v_plus,
+            v_minus=v_minus,
+            v_total=v_plus + v_minus,
+            entangled=v_plus + v_minus < SHOT_NOISE_TOTAL,
+        )
+        for omega, (v_plus, v_minus) in zip(w.tolist(), variances.tolist())
     ]
 
 
 def _refine_axis(a: np.ndarray, psi_fixed: float, psi0: float, step: float, axis: int) -> float:
     """Golden-section refinement of one phase around a grid minimizer."""
+    # imported here: scipy takes most of the time of ``import nopanet``
+    from scipy.optimize import minimize_scalar
 
     def objective(psi):
         args = (psi, psi_fixed) if axis == 0 else (psi_fixed, psi)

@@ -10,11 +10,19 @@ class DimensionError(NopanetError):
 
 
 class SingularMatrixError(NopanetError):
-    """Matrix is singular (or numerically indistinguishable from singular)."""
+    """Matrix is singular (or numerically indistinguishable from singular).
 
-    def __init__(self, message, det_magnitude=None):
+    ``rcond`` is the reciprocal 1-norm condition estimate that failed the
+    check (0 when the factorisation broke down), ``det_magnitude`` the |det|
+    of the rejected matrix and ``index`` its position in a stack (None for a
+    single matrix).
+    """
+
+    def __init__(self, message, det_magnitude=None, rcond=None, index=None):
         super().__init__(message)
         self.det_magnitude = det_magnitude
+        self.rcond = rcond
+        self.index = index
 
 
 class NumericalError(NopanetError):

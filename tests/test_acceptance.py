@@ -114,8 +114,6 @@ def test_criterion_3_zero_frequency_consistency():
     worst = 0.0
     count = 0
     for n, x, y in GRID:
-        if n > 6:
-            continue
         ss = build_closed_loop(NopaParams.from_normalized(x, y), PassiveNetwork.cfb(n))
         st = static_transfer(static_coefficients(x, y), PassiveNetwork.cfb(n))
         worst = max(worst, float(np.max(np.abs(transfer(ss, 0.0) - st.h_n))))

@@ -2,11 +2,23 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nopanet import cfb_topology, closed_form, static_coefficients
+import nopanet
+from nopanet import (
+    PassiveNetwork,
+    cfb_topology,
+    closed_form,
+    static_coefficients,
+    static_transfer,
+    vanishing_search,
+)
 from nopanet.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, EXIT_VERIFY, main
 
 
@@ -148,6 +160,27 @@ class TestSpectrumCommand:
         cfg2 = write_json(tmp_path / "unstable.json", doc)
         assert main(["spectrum", "--config", cfg2]) == EXIT_UNSTABLE
 
+    def test_optimal_theta_request_lossy(self, tmp_path):
+        # K > 0: the phases come from the phase-grid search on the static transfer
+        params = {"x": 0.05, "y": 1.0, "K": 0.0276}
+        cfg = write_json(
+            tmp_path / "lossy.json",
+            {
+                "params": params,
+                "topology": "cfb",
+                "n_nopas": 4,
+                "omega_grid": {"values": [0.0, 1e6]},
+                "theta_a": "optimal",
+                "theta_b": "optimal",
+            },
+        )
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        first = out.read_text().strip().splitlines()[1].split(",")
+        coeffs = static_coefficients(0.05, 1.0, 0.0276)
+        found = vanishing_search(static_transfer(coeffs, PassiveNetwork.cfb(4)).h_n)
+        assert float(first[3]) == pytest.approx(found.v_total, rel=1e-9)
+
     def test_decreasing_grid_rejected(self, tmp_path):
         cfg = self.spectrum_cfg(tmp_path, omega_grid={"values": [1.0, 0.5]})
         assert main(["spectrum", "--config", cfg]) == EXIT_CONFIG
@@ -190,6 +223,22 @@ class TestTheoremCommand:
         expected = closed_form(static_coefficients(0.06, 1.0), 3)
         assert doc["u"] == expected.u
         assert doc["v"] == expected.v
+
+    def test_physical_params_above_threshold_named(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "phys.json",
+            {"params": {"epsilon": 6e7, "gamma": 5e7}, "topology": "cfb", "n_nopas": 3},
+        )
+        assert main(["theorem", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "epsilon/gamma" in err
+        assert "x must be" not in err
+
+    def test_closed_form_overflow_is_an_error_exit(self, tmp_path, capsys):
+        # |h1| ~ 1e4, so h1**80 is out of the float range
+        cfg = self.theorem_cfg(tmp_path, x=0.9999, n=80)
+        assert main(["theorem", "--config", cfg]) == EXIT_CONFIG
+        assert "overflows" in capsys.readouterr().err
 
     def test_lossy_rejected(self, tmp_path):
         cfg = write_json(
@@ -323,3 +372,14 @@ class TestVerifyCommand:
         # replaying the recorded failure reproduces the verdict
         code2 = main(["verify", "--replay", str(replay_path), "--out", str(tmp_path / "f2.json")])
         assert code2 == EXIT_VERIFY
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported on first use of the phase-grid refinement only
+    env = dict(os.environ, PYTHONPATH=str(Path(nopanet.__file__).parents[1]))
+    probe = "import sys, nopanet.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

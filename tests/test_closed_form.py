@@ -25,7 +25,7 @@ from nopanet.closed_form import (
     t2_matrix,
     t3_matrix,
 )
-from nopanet.errors import DegenerateRecurrenceError
+from nopanet.errors import DegenerateRecurrenceError, NumericalError
 from nopanet.static_limit import elimination_matrix
 
 
@@ -224,3 +224,14 @@ class TestDegenerateGuard:
         assert c.h2**2 == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(DegenerateRecurrenceError):
             closed_form(c, 4)
+
+
+class TestOverflow:
+    def test_long_chain_overflow_is_typed(self):
+        # h1**N leaves the float range at N = 5000, x = 0.3
+        with pytest.raises(NumericalError):
+            closed_form(static_coefficients(0.3, 1.0), 5000)
+
+    def test_closed_determinants_overflow_is_typed(self):
+        with pytest.raises(NumericalError):
+            determinant_path(static_coefficients(0.9999, 1.0), 80)

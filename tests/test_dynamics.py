@@ -1,7 +1,11 @@
 """Closed-loop state-space tests, anchored by the static limit at omega = 0."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nopanet import (
     NopaParams,
@@ -12,12 +16,19 @@ from nopanet import (
     kron,
     nopa_response,
     single_nopa_transfer,
+    squeezing_spectrum,
     stability,
     static_coefficients,
     static_transfer,
     transfer,
 )
-from nopanet.errors import PoleError, WellPosednessError
+from nopanet.errors import (
+    DimensionError,
+    NopanetError,
+    PoleError,
+    StabilityError,
+    WellPosednessError,
+)
 from nopanet.network import GAMMA_R_REF, K_REF
 from nopanet.static_limit import elimination_matrix
 from tests.test_network import random_unitary
@@ -170,6 +181,100 @@ class TestTransfer:
             h0 = transfer(ss, 0.0)
             st = static_transfer(static_coefficients(0.1, 1.0), PassiveNetwork.cfb(n))
             assert np.max(np.abs(h0 - st.h_n)) < 1e-9
+
+
+class TestBatchedTransfer:
+    def test_array_equals_stacked_scalar_transfers(self):
+        for n, big_k in ((1, 0.0), (2, 0.0), (5, K_REF), (9, 0.0)):
+            p = NopaParams.from_normalized(0.05, 0.8, big_k)
+            net = PassiveNetwork.cfb(n) if n > 1 else open_loop_network()
+            ss = build_closed_loop(p, net)
+            omegas = np.linspace(0.0, 5.0 * p.gamma, 11)
+            stack = transfer(ss, omegas)
+            assert stack.shape == (11, 4, 4 + 4 * n)
+            for w, h in zip(omegas, stack):
+                single = transfer(ss, w)
+                assert np.max(np.abs(h - single)) <= 1e-13 * np.max(np.abs(single))
+
+    def test_matches_literal_resolvent(self):
+        p = NopaParams.from_normalized(0.1, 1.0, K_REF)
+        ss = build_closed_loop(p, PassiveNetwork.cfb(3))
+        for w in (0.0, 0.4 * p.gamma, 3.0 * p.gamma):
+            literal = ss.c @ np.linalg.inv(1j * w * np.eye(12) - ss.a) @ ss.b + ss.d
+            assert np.max(np.abs(transfer(ss, w) - literal)) < 1e-12 * np.max(np.abs(literal))
+
+    def test_empty_grid(self):
+        ss = build_closed_loop(NopaParams.from_normalized(0.1, 1.0), PassiveNetwork.cfb(2))
+        assert transfer(ss, np.array([])).shape == (0, 4, 12)
+
+    def test_rejects_two_dimensional_grid(self):
+        ss = build_closed_loop(NopaParams.from_normalized(0.1, 1.0), PassiveNetwork.cfb(2))
+        with pytest.raises(DimensionError):
+            transfer(ss, np.zeros((2, 2)))
+
+
+def chain(n, x, y=1.0):
+    p = NopaParams.from_normalized(x, y)
+    return p, build_closed_loop(p, PassiveNetwork.cfb(n))
+
+
+class TestResolventGuard:
+    """The condition-number guard on (i w I - A): stable chains pass, marginal ones raise."""
+
+    @pytest.mark.parametrize("n, x", [(10, 0.05), (30, 0.02)])
+    def test_long_stable_chain_at_zero(self, n, x):
+        _, ss = chain(n, x)
+        h0 = transfer(ss, 0.0)
+        st_ = static_transfer(static_coefficients(x, 1.0), PassiveNetwork.cfb(n))
+        assert np.max(np.abs(h0 - st_.h_n)) < 1e-9 * np.max(np.abs(h0))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_just_below_the_bound_succeeds(self, n):
+        x = math.tan(math.pi / (4 * n)) * (1.0 - 1e-9)
+        p, ss = chain(n, x)
+        assert stability(p, PassiveNetwork.cfb(n)).stable
+        assert np.all(np.isfinite(transfer(ss, 0.0)))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    def test_at_the_bound_raises(self, n):
+        _, ss = chain(n, math.tan(math.pi / (4 * n)))
+        with pytest.raises(StabilityError):
+            transfer(ss, 0.0)
+
+    def test_single_nopa_at_threshold_raises(self):
+        _, ss = chain(1, 1.0)
+        with pytest.raises(StabilityError):
+            transfer(ss, 0.0)
+
+    def test_error_names_the_frequency(self):
+        _, ss = chain(2, math.tan(math.pi / 8))
+        with pytest.raises(StabilityError, match=r"omega=0\.0"):
+            transfer(ss, np.array([1e9, 0.0, 2e9]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    x=st.floats(0.0, 0.3),
+    y=st.floats(0.01, 1.0),
+    big_k=st.floats(0.0, 0.3),
+    w=st.floats(0.0, 5.0),
+)
+def test_fuzz_answers_or_typed_errors(n, x, y, big_k, w):
+    """Every call answers or raises a NopanetError; numpy warnings fail the test."""
+    p = NopaParams.from_normalized(x, y, big_k)
+    net = PassiveNetwork.cfb(n)
+    calls = (
+        lambda: stability(p, net),
+        lambda: static_transfer(static_coefficients(x, y, big_k), net),
+        lambda: transfer(build_closed_loop(p, net), w * p.gamma),
+        lambda: squeezing_spectrum(build_closed_loop(p, net), [0.0, w * p.gamma]),
+    )
+    for call in calls:
+        try:
+            call()
+        except NopanetError:
+            pass
 
 
 class TestNopaResponse:

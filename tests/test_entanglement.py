@@ -17,9 +17,10 @@ from nopanet import (
     squeezing_spectrum,
     static_coefficients,
     static_transfer,
+    transfer,
     vanishing_search,
 )
-from nopanet.entanglement import SHOT_NOISE_TOTAL
+from nopanet.entanglement import SHOT_NOISE_TOTAL, SPECTRUM_CHUNK
 from nopanet.errors import DimensionError, StabilityError
 
 
@@ -113,6 +114,28 @@ class TestSqueezingSpectrum:
         ss = build_closed_loop(p, PassiveNetwork.cfb(2))
         with pytest.raises(StabilityError):
             squeezing_spectrum(ss, [0.0])
+
+    def test_matches_per_frequency_squeezing(self):
+        # the loop over transfer + squeezing is the reference; the grid spans
+        # several batches and ends inside one
+        for big_k in (0.0, 0.05):
+            p = NopaParams.from_normalized(0.08, 0.9, big_k)
+            ss = build_closed_loop(p, PassiveNetwork.cfb(4))
+            omegas = np.linspace(0.0, 3.0 * p.gamma, 2 * SPECTRUM_CHUNK + 7)
+            batched = squeezing_spectrum(ss, omegas, 1.1, 1.9)
+            assert len(batched) == len(omegas)
+            for w, r in zip(omegas, batched):
+                ref = squeezing(transfer(ss, w), 1.1, 1.9, omega=float(w))
+                assert r.omega == ref.omega
+                assert (r.theta_a, r.theta_b) == (ref.theta_a, ref.theta_b)
+                assert r.v_plus == pytest.approx(ref.v_plus, rel=1e-13)
+                assert r.v_minus == pytest.approx(ref.v_minus, rel=1e-13)
+                assert r.v_total == pytest.approx(ref.v_total, rel=1e-13)
+                assert r.entangled == ref.entangled
+
+    def test_empty_grid(self):
+        ss = build_closed_loop(NopaParams.from_normalized(0.1, 1.0), PassiveNetwork.cfb(2))
+        assert squeezing_spectrum(ss, []) == []
 
     def test_records_omega_and_thetas(self):
         p = NopaParams.from_normalized(0.1, 1.0)

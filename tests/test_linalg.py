@@ -117,6 +117,83 @@ class TestInverse:
         assert err.value.det_magnitude is not None
         assert err.value.det_magnitude < 1e-10
 
+    def test_guard_is_scale_free(self):
+        # entries of the closed-loop size (~7e7) at 4N = 40: a determinant
+        # threshold overflows here, the condition number does not move
+        rng = np.random.default_rng(19)
+        m = np.eye(40) + 0.1 * rng.normal(size=(40, 40))
+        for scale in (1e-30, 1.0, 7.2e7, 1e30):
+            inv = linalg.inverse(scale * m)
+            assert np.max(np.abs(scale * m @ inv - np.eye(40))) < 1e-12
+
+    def test_ill_conditioned_raises_with_rcond(self):
+        m = np.diag([1.0, 1e-15])
+        with pytest.raises(SingularMatrixError) as err:
+            linalg.inverse(m)
+        assert err.value.rcond == pytest.approx(1e-15, rel=1e-12)
+        assert err.value.index is None
+
+
+def with_condition(rng, n, cond):
+    """A random n x n matrix with 2-norm condition number ``cond``."""
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return u @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ v
+
+
+class TestSolve:
+    def test_stack_matches_per_matrix_solves(self):
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(6, 5, 5)) + 1j * rng.normal(size=(6, 5, 5))
+        b = rng.normal(size=(5, 3))
+        x = linalg.solve(a, b)
+        assert x.shape == (6, 5, 3)
+        for k in range(6):
+            assert np.max(np.abs(x[k] - np.linalg.solve(a[k], b))) < 1e-12
+
+    def test_single_matrix(self):
+        m = np.array([[2.0, 1.0], [1.0, 3.0]])
+        b = np.array([[1.0], [2.0]])
+        assert np.allclose(m @ linalg.solve(m, b), b)
+
+    def test_rcond_is_exact_for_identity_rhs(self):
+        # ||b_j|| = 1 and max_j ||x_j|| = ||M^-1||_1: rcond = 1/(||M||_1 ||M^-1||_1)
+        rng = np.random.default_rng(29)
+        for n in (4, 9):
+            m = with_condition(rng, n, 1e17)
+            with pytest.raises(SingularMatrixError) as err:
+                linalg.solve(m, np.eye(n))
+            assert err.value.rcond == pytest.approx(1.0 / np.linalg.cond(m, 1), rel=1e-6)
+
+    def test_reports_worst_matrix_of_stack(self):
+        rng = np.random.default_rng(31)
+        a = np.stack([with_condition(rng, 5, c) for c in (10.0, 1e17, 100.0)])
+        with pytest.raises(SingularMatrixError) as err:
+            linalg.solve(a, rng.normal(size=(5, 2)))
+        assert err.value.index == (1,)
+        assert err.value.rcond < linalg.RCOND_MIN
+
+    def test_exactly_singular_member_of_stack(self):
+        a = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])])
+        with pytest.raises(SingularMatrixError) as err:
+            linalg.solve(a, np.eye(2))
+        assert err.value.index == (1,)
+        assert err.value.rcond == 0.0
+
+    def test_well_conditioned_passes_at_any_scale(self):
+        rng = np.random.default_rng(37)
+        m = with_condition(rng, 8, 1e8)
+        b = rng.normal(size=(8, 2))
+        for scale in (1e-200, 1.0, 1e200):
+            x = linalg.solve(scale * m, b)
+            assert np.max(np.abs(m @ x * scale - b)) < 1e-6
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(DimensionError):
+            linalg.solve(np.ones((2, 3)), np.ones((2, 1)))
+        with pytest.raises(DimensionError):
+            linalg.solve(np.eye(3), np.ones((2, 1)))
+
 
 class TestEigenvalues:
     def test_diagonal(self):
