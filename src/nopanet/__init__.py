@@ -2,8 +2,8 @@
 
 Library layout:
 
-* ``linalg``       dense matrix kernel (det, condition-checked solve and inverse,
-                   spectra, Hurwitz)
+* ``linalg``       dense matrix kernel (condition-checked solve and inverse,
+                   spectra)
 * ``network``      NOPA parameters and the passive interconnect
 * ``dynamics``     finite-bandwidth state space and transfer function
 * ``static_limit`` infinite-bandwidth transfer and the L-pattern algebra
@@ -42,7 +42,7 @@ from .entanglement import (
     squeezing_spectrum,
     vanishing_search,
 )
-from .linalg import determinant, eigenvalues, inverse, is_hurwitz, kron
+from .linalg import eigenvalues, inverse
 from .network import (
     GAMMA_R_REF,
     K_REF,
@@ -90,14 +90,11 @@ __all__ = [
     "build_closed_loop",
     "cfb_topology",
     "closed_form",
-    "determinant",
     "determinant_path",
     "eigenvalues",
     "extract_uv",
     "inverse",
-    "is_hurwitz",
     "is_l2_matrix",
-    "kron",
     "nopa_response",
     "optimal_thetas",
     "partition",

@@ -20,7 +20,7 @@ from .errors import (
     StabilityError,
     WellPosednessError,
 )
-from .linalg import eigenvalues, inverse, kron, solve
+from .linalg import eigenvalues, inverse, solve
 from .network import NopaParams, PassiveNetwork
 
 # Step of the Weyl sequence that fills the resolvent's probe column.
@@ -100,7 +100,7 @@ def build_closed_loop(p: NopaParams, net: PassiveNetwork) -> StateSpace:
         ) from exc
     sg = math.sqrt(p.gamma)
     sk = math.sqrt(p.kappa)
-    a = kron(np.eye(n), build_a1(p)) - p.gamma * loop @ s22
+    a = np.kron(np.eye(n), build_a1(p)) - p.gamma * loop @ s22
     b = np.hstack([-sg * loop @ s21, -sk * np.eye(4 * n)])
     c = sg * s12 @ loop
     d = np.hstack([s11 + s12 @ loop @ s21, np.zeros((4, 4 * n))])

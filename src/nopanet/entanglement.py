@@ -5,7 +5,9 @@ shifts (theta_a, theta_b) applied to the two external fields,
 V+ = || [cos a, -sin a, cos b, -sin b] H ||^2 and
 V- = || [sin a, cos a, -sin b, -cos b] H ||^2.
 The pair of fields is entangled at a frequency when V+ + V- < 4 (strictly
-below the shot-noise total).
+below the shot-noise total).  V+ + V- depends on the phase sum
+theta_a + theta_b only, for any 4-row H, so ``vanishing_search`` finds the
+best phases exactly, in closed form.
 """
 
 from __future__ import annotations
@@ -118,60 +120,25 @@ def squeezing_spectrum(
     ]
 
 
-def _refine_axis(a: np.ndarray, psi_fixed: float, psi0: float, step: float, axis: int) -> float:
-    """Golden-section refinement of one phase around a grid minimizer."""
-    # imported here: scipy takes most of the time of ``import nopanet``
-    from scipy.optimize import minimize_scalar
+def vanishing_search(h) -> VanishingSearchResult:
+    """The output phases that minimise V+ + V-, in closed form.
 
-    def objective(psi):
-        args = (psi, psi_fixed) if axis == 0 else (psi_fixed, psi)
-        return squeezing(a, *args).v_total
-
-    try:
-        res = minimize_scalar(
-            objective,
-            bracket=(psi0 - step, psi0, psi0 + step),
-            method="golden",
-            options={"xtol": 1e-9},
-        )
-    except ValueError:
-        # flat objective (e.g. vacuum): bracketing fails, keep the grid point
-        return psi0
-    return float(res.x)
-
-
-def vanishing_search(h, grid: int = 360) -> VanishingSearchResult:
-    """Exhaustive phase-grid search for entanglement, with local refinement.
-
-    Scans psi1, psi2 on a (-pi, pi] grid, then refines the best point by
-    coordinate-wise golden-section to ~1e-6 rad.  ``vanished`` is True when
-    even the refined minimum fails the entanglement criterion.
+    With G = Re(H H^dagger), V+ + V- depends on the phase sum s = psi1 + psi2
+    alone: tr G + 2 [(G02 - G13) cos s - (G03 + G12) sin s].  Its minimum is
+    at s = atan2(G03 + G12, G13 - G02), split evenly between the two phases;
+    when both coefficients vanish every phase pair is optimal and (0, 0) is
+    returned.  ``v_total`` is evaluated at those phases rather than from the
+    cancelling closed form.  ``vanished`` is True when even this minimum
+    fails the entanglement criterion.
     """
-    if grid < 8:
-        raise ValueError(f"grid must be >= 8, got {grid}")
     a = np.asarray(h)
     if a.ndim != 2 or a.shape[0] != 4:
         raise DimensionError(f"transfer must have 4 rows, got shape {a.shape}")
-    # V+ + V- is a quadratic form in the rotation rows; the Gram matrix of
-    # the transfer rows makes the grid scan O(1) per point.
     gram = np.real(a @ a.conj().T)
-    psis = -math.pi + 2.0 * math.pi * np.arange(1, grid + 1) / grid
-    p1g, p2g = np.meshgrid(psis, psis, indexing="ij")
-    c1, s1 = np.cos(p1g), np.sin(p1g)
-    c2, s2 = np.cos(p2g), np.sin(p2g)
-    wq = np.stack([c1, -s1, c2, -s2], axis=-1)
-    wp = np.stack([s1, c1, -s2, -c2], axis=-1)
-    totals = np.einsum("...i,ij,...j->...", wq, gram, wq) + np.einsum(
-        "...i,ij,...j->...", wp, gram, wp
-    )
-    i1, i2 = np.unravel_index(np.argmin(totals), totals.shape)
-    p1, p2 = float(psis[i1]), float(psis[i2])
-    step = 2.0 * math.pi / grid
-    for _ in range(3):
-        p1 = _refine_axis(a, p2, p1, step, axis=0)
-        p2 = _refine_axis(a, p1, p2, step, axis=1)
-        step = max(step / 8.0, 1e-6)
-    v = squeezing(a, p1, p2).v_total
+    cos_coef = gram[0, 2] - gram[1, 3]
+    sin_coef = gram[0, 3] + gram[1, 2]
+    psi = 0.0 if cos_coef == sin_coef == 0.0 else 0.5 * math.atan2(sin_coef, -cos_coef)
+    v = squeezing(a, psi, psi).v_total
     return VanishingSearchResult(
-        psi1=p1, psi2=p2, v_total=v, vanished=not v < SHOT_NOISE_TOTAL
+        psi1=psi, psi2=psi, v_total=v, vanished=not v < SHOT_NOISE_TOTAL
     )

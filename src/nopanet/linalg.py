@@ -1,4 +1,4 @@
-"""Dense matrix kernel: products, determinants, solves, inverses, spectra, Hurwitz test.
+"""Dense matrix kernel: condition-checked solves and inverses, spectra.
 
 Everything here is a thin, validated wrapper around LAPACK-backed numpy
 routines.  Matrices are plain ``numpy.ndarray`` objects; all functions are
@@ -32,17 +32,6 @@ def _require_square(a: np.ndarray) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def determinant(m) -> float:
-    """Determinant via pivoted LU factorization."""
-    a = _require_square(as_matrix(m))
-    return np.linalg.det(a)
 
 
 def _rcond(a: np.ndarray, x: np.ndarray, b: np.ndarray | None) -> np.ndarray:
@@ -134,10 +123,3 @@ def eigenvalues(m) -> np.ndarray:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc
-
-
-def is_hurwitz(m, margin: float = 0.0) -> bool:
-    """True iff every eigenvalue has real part < -margin."""
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
-    return bool(np.all(eigenvalues(m).real < -margin))

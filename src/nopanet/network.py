@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, UnitarityError
-from .linalg import as_matrix, kron
+from .linalg import as_matrix
 
 # Reference transmissivity rate of the outcoupling mirrors (Hz).
 GAMMA_R_REF = 7.2e7
@@ -93,11 +93,11 @@ def cfb_topology(n: int) -> np.ndarray:
     dim = 2 * (n + 1)
     s = np.zeros((dim, dim))
     # [[O_{2n x 2}, I_n (x) M1], [M1, O_{2 x 2n}]]
-    s[: 2 * n, 2:] += kron(np.eye(n), m1)
+    s[: 2 * n, 2:] += np.kron(np.eye(n), m1)
     s[2 * n :, :2] += m1
     # [[O_{2 x 2n}, M2], [I_n (x) M2, O_{2n x 2}]]
     s[:2, 2 * n :] += m2
-    s[2:, : 2 * n] += kron(np.eye(n), m2)
+    s[2:, : 2 * n] += np.kron(np.eye(n), m2)
     return s.astype(complex)
 
 

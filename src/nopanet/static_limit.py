@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import scaled_response
 from .errors import SingularMatrixError, StructureError, WellPosednessError
-from .linalg import inverse, kron
+from .linalg import inverse
 from .network import PassiveNetwork
 
 R = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -99,8 +99,8 @@ def static_transfer(coeffs: StaticCoefficients, net: PassiveNetwork) -> StaticTr
     n = net.n_nopas
     s11, s12, s21, s22 = net.blocks
     w12, w34 = w_blocks(coeffs)
-    wi = kron(np.eye(n), w12)
-    wl = kron(np.eye(n), w34)
+    wi = np.kron(np.eye(n), w12)
+    wl = np.kron(np.eye(n), w34)
     try:
         p_n = inverse(elimination_matrix(coeffs, net))
     except SingularMatrixError as exc:
@@ -213,4 +213,4 @@ def elimination_matrix(coeffs: StaticCoefficients, net: PassiveNetwork) -> np.nd
     """The matrix I - S22 (I (x) W12) whose inverse closes the static loop."""
     w12, _ = w_blocks(coeffs)
     n = net.n_nopas
-    return np.eye(4 * n) - net.blocks.s22 @ kron(np.eye(n), w12)
+    return np.eye(4 * n) - net.blocks.s22 @ np.kron(np.eye(n), w12)

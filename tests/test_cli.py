@@ -19,7 +19,8 @@ from nopanet import (
     static_transfer,
     vanishing_search,
 )
-from nopanet.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, EXIT_VERIFY, main
+from nopanet.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, EXIT_VERIFY, _random_unitary, main
+from nopanet.errors import WellPosednessError
 
 
 def write_json(path, doc):
@@ -161,7 +162,7 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg2]) == EXIT_UNSTABLE
 
     def test_optimal_theta_request_lossy(self, tmp_path):
-        # K > 0: the phases come from the phase-grid search on the static transfer
+        # K > 0: the phases come from the exact optimum of the static transfer
         params = {"x": 0.05, "y": 1.0, "K": 0.0276}
         cfg = write_json(
             tmp_path / "lossy.json",
@@ -180,6 +181,31 @@ class TestSpectrumCommand:
         coeffs = static_coefficients(0.05, 1.0, 0.0276)
         found = vanishing_search(static_transfer(coeffs, PassiveNetwork.cfb(4)).h_n)
         assert float(first[3]) == pytest.approx(found.v_total, rel=1e-9)
+
+    def test_optimal_theta_request_custom_topology(self, tmp_path):
+        # the chain's closed-form phases are not this network's optimum: at
+        # them V+ + V- reads 4.445 at omega = 0, where the network reaches 3.700
+        u = _random_unitary(np.random.default_rng(5), 8)
+        mfile = write_json(tmp_path / "net.json", {**matrix_doc(u), "n_nopas": 3})
+        cfg = write_json(
+            tmp_path / "custom.json",
+            {
+                "params": {"x": 0.05, "y": 1.0},
+                "topology": "custom",
+                "matrix_file": mfile,
+                "omega_grid": {"values": [0.0, 1e6]},
+                "theta_a": "optimal",
+                "theta_b": "optimal",
+            },
+        )
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        first = out.read_text().strip().splitlines()[1].split(",")
+        net = PassiveNetwork.from_json(mfile)
+        found = vanishing_search(static_transfer(static_coefficients(0.05, 1.0), net).h_n)
+        assert float(first[3]) == pytest.approx(found.v_total, rel=1e-9)
+        assert float(first[3]) == pytest.approx(3.700, abs=5e-4)
+        assert first[4] == "true"
 
     def test_decreasing_grid_rejected(self, tmp_path):
         cfg = self.spectrum_cfg(tmp_path, omega_grid={"values": [1.0, 0.5]})
@@ -335,6 +361,21 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "failed: 0" in out.read_text()
 
+    def test_ill_posed_static_loop_fails_the_suite(self, tmp_path, monkeypatch):
+        # a stable chain whose static elimination is rejected is a failed trial
+        # with a replay file, not an escaping error
+        def ill_posed(coeffs, net):
+            raise WellPosednessError("static loop elimination is singular")
+
+        monkeypatch.setattr("nopanet.cli.static_transfer", ill_posed)
+        replay_path = tmp_path / "fail.json"
+        code = main(["verify", "--seed", "7", "--trials", "5", "--out", str(replay_path)])
+        assert code == EXIT_VERIFY
+        replay = json.loads(replay_path.read_text())
+        assert replay["failed_trials"]
+        for trial in replay["failed_trials"]:
+            assert set(trial["failures"]) == {"stability_implies_invertible"}
+
     def test_deterministic_output(self, tmp_path):
         blobs = []
         for name in ("v1.txt", "v2.txt"):
@@ -374,12 +415,27 @@ class TestVerifyCommand:
         assert code2 == EXIT_VERIFY
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported on first use of the phase-grid refinement only
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # the phase optimum is closed form: even a lossy "optimal" spectrum,
+    # which takes its phases from vanishing_search, runs on numpy alone
+    cfg = write_json(
+        tmp_path / "lossy.json",
+        {
+            "params": {"x": 0.05, "y": 1.0, "K": 0.0276},
+            "n_nopas": 4,
+            "omega_grid": {"values": [0.0, 1e6]},
+            "theta_a": "optimal",
+            "theta_b": "optimal",
+        },
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(nopanet.__file__).parents[1]))
-    probe = "import sys, nopanet.cli; print('scipy' in sys.modules)"
+    argv = ["spectrum", "--config", cfg, "--out", str(tmp_path / "spec.csv")]
+    probe = (
+        "import sys, nopanet, nopanet.cli; "
+        f"code = nopanet.cli.main({argv!r}); print(code, 'scipy' in sys.modules)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "0 False"

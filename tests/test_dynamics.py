@@ -13,7 +13,6 @@ from nopanet import (
     build_a1,
     build_closed_loop,
     eigenvalues,
-    kron,
     nopa_response,
     single_nopa_transfer,
     squeezing_spectrum,
@@ -78,7 +77,7 @@ class TestBuildClosedLoop:
             net = PassiveNetwork.cfb(n)
             ss = build_closed_loop(p, net)
             s22 = net.blocks.s22
-            literal = kron(np.eye(n), build_a1(p)) - p.gamma * np.linalg.inv(
+            literal = np.kron(np.eye(n), build_a1(p)) - p.gamma * np.linalg.inv(
                 np.eye(4 * n) - s22
             ) @ s22
             assert np.max(np.abs(ss.a - literal)) < 1e-12 * p.gamma

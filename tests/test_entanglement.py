@@ -145,36 +145,71 @@ class TestSqueezingSpectrum:
         assert (r.theta_a, r.theta_b) == (0.2, 0.3)
 
 
+def brute_force_minimum(h, points=64):
+    """Least V+ + V- of ``squeezing`` over a points x points grid of phases."""
+    psis = -math.pi + 2.0 * math.pi * np.arange(points) / points
+    return min(squeezing(h, a, b).v_total for a in psis for b in psis)
+
+
+def reference_transfers():
+    """Real, complex, lossy and finite-frequency 4-row transfers."""
+    rng = np.random.default_rng(41)
+    hs = [rng.normal(size=(4, k)) for k in (4, 8, 12)]
+    hs += [rng.normal(size=(4, k)) + 1j * rng.normal(size=(4, k)) for k in (4, 8, 12)]
+    hs.append(static_transfer(static_coefficients(0.05, 1.0, 0.0276), PassiveNetwork.cfb(4)).h_n)
+    p = NopaParams.from_normalized(0.08, 0.9, 0.05)
+    hs.append(transfer(build_closed_loop(p, PassiveNetwork.cfb(3)), 0.7 * p.gamma))
+    return hs
+
+
 class TestVanishingSearch:
     def test_vacuum_stays_at_shot_noise(self):
-        res = vanishing_search(np.eye(4), grid=48)
-        assert res.v_total == pytest.approx(SHOT_NOISE_TOTAL, abs=1e-9)
+        res = vanishing_search(np.eye(4))
+        assert res.v_total == SHOT_NOISE_TOTAL
+        assert res.vanished is True
+        assert (res.psi1, res.psi2) == (0.0, 0.0)
 
     def test_uncorrelated_amplifier_vanished(self):
-        res = vanishing_search(2.0 * np.eye(4), grid=48)
-        assert res.vanished
-        assert res.v_total == pytest.approx(16.0, abs=1e-9)
+        res = vanishing_search(2.0 * np.eye(4))
+        assert res.vanished is True
+        assert res.v_total == 16.0
 
     def test_single_nopa_minimum(self):
         h = single_nopa_transfer(static_coefficients(0.5, 1.0))
-        res = vanishing_search(h, grid=120)
+        res = vanishing_search(h)
         assert not res.vanished
-        assert res.v_total == pytest.approx(4.0 / 9.0, rel=1e-6)
-        assert abs(abs(res.psi1 + res.psi2) - math.pi) < 1e-4
+        assert res.v_total == pytest.approx(4.0 / 9.0, rel=1e-12)
+        assert math.cos(res.psi1 + res.psi2) == pytest.approx(-1.0, abs=1e-15)
 
     def test_matches_direct_squeezing_at_reported_phases(self):
         st = static_transfer(static_coefficients(0.15, 1.0), PassiveNetwork.cfb(3))
-        res = vanishing_search(st.h_n, grid=90)
-        direct = squeezing(st.h_n, res.psi1, res.psi2)
-        assert direct.v_total == pytest.approx(res.v_total, rel=1e-12)
+        res = vanishing_search(st.h_n)
+        assert squeezing(st.h_n, res.psi1, res.psi2).v_total == res.v_total
 
     def test_finds_closed_form_optimum(self):
         x, y, n = 0.1, 1.0, 4
         st = static_transfer(static_coefficients(x, y), PassiveNetwork.cfb(n))
         result = closed_form(static_coefficients(x, y), n)
-        res = vanishing_search(st.h_n, grid=90)
-        assert res.v_total == pytest.approx(2.0 * result.v_opt, rel=1e-6)
+        res = vanishing_search(st.h_n)
+        assert res.v_total == pytest.approx(2.0 * result.v_opt, rel=1e-12)
+        assert (res.psi1, res.psi2) == optimal_thetas(result)[0]
 
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(ValueError):
-            vanishing_search(np.eye(4), grid=4)
+    @pytest.mark.parametrize("index", range(8))
+    def test_no_phase_pair_beats_it(self, index):
+        h = reference_transfers()[index]
+        res = vanishing_search(h)
+        assert res.v_total == squeezing(h, res.psi1, res.psi2).v_total
+        assert res.vanished == (not res.v_total < SHOT_NOISE_TOTAL)
+        assert brute_force_minimum(h) >= res.v_total * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_depends_on_the_phase_sum_only(self, index):
+        h = reference_transfers()[index]
+        res = vanishing_search(h)
+        for delta in (-2.0, 0.3, 1.7):
+            shifted = squeezing(h, res.psi1 + delta, res.psi2 - delta).v_total
+            assert shifted == pytest.approx(res.v_total, rel=1e-12)
+
+    def test_rejects_wrong_rows(self):
+        with pytest.raises(DimensionError):
+            vanishing_search(np.eye(6))

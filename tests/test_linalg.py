@@ -1,95 +1,10 @@
 """Kernel tests: every routine is checked against an independent oracle."""
 
-import itertools
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from nopanet import linalg
 from nopanet.errors import DimensionError, SingularMatrixError
-
-
-def cofactor_determinant(a):
-    """Naive cofactor expansion along the first row; oracle for n <= 8."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, 0]
-    total = 0.0
-    for j in range(n):
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total += (-1.0) ** j * a[0, j] * cofactor_determinant(minor)
-    return total
-
-
-finite_entries = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
-
-
-class TestKron:
-    def test_identity_times_identity(self):
-        assert np.array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_identity_times_rotation_generator(self):
-        j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        out = linalg.kron(np.eye(2), j)
-        expected = np.block([[j, np.zeros((2, 2))], [np.zeros((2, 2)), j]])
-        assert np.array_equal(out, expected)
-
-    @given(
-        a=arrays(np.float64, (2, 2), elements=finite_entries),
-        b=arrays(np.float64, (2, 2), elements=finite_entries),
-    )
-    def test_elementwise_definition(self, a, b):
-        out = linalg.kron(a, b)
-        for i, j, k, l in itertools.product(range(2), repeat=4):
-            assert out[2 * i + k, 2 * j + l] == a[i, j] * b[k, l]
-
-    def test_rejects_vectors(self):
-        with pytest.raises(DimensionError):
-            linalg.kron(np.ones(3), np.eye(2))
-
-
-class TestDeterminant:
-    def test_identity(self):
-        assert linalg.determinant(np.eye(4)) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        assert linalg.determinant(np.diag([2.0, 3.0])) == pytest.approx(6.0)
-
-    def test_matches_cofactor_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            m = rng.normal(size=(6, 6))
-            expected = cofactor_determinant(m)
-            assert linalg.determinant(m) == pytest.approx(expected, rel=1e-10)
-
-    def test_product_rule(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.normal(size=(5, 5))
-            b = rng.normal(size=(5, 5))
-            assert linalg.determinant(a @ b) == pytest.approx(
-                linalg.determinant(a) * linalg.determinant(b), rel=1e-9
-            )
-
-    def test_block_determinant_identity(self):
-        # det [[A, B], [C, D]] = det(D) det(A - B D^-1 C), D invertible
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            a, b, c = (rng.normal(size=(4, 4)) for _ in range(3))
-            d = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
-            full = np.block([[a, b], [c, d]])
-            schur = a - b @ np.linalg.inv(d) @ c
-            assert linalg.determinant(full) == pytest.approx(
-                linalg.determinant(d) * linalg.determinant(schur), rel=1e-9
-            )
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            linalg.determinant(np.ones((2, 3)))
 
 
 class TestInverse:
@@ -213,19 +128,3 @@ class TestEigenvalues:
             b = np.sort_complex(linalg.eigenvalues(m.T))
             assert np.max(np.abs(a - b)) < 1e-8
 
-
-class TestIsHurwitz:
-    def test_stable_diagonal(self):
-        assert linalg.is_hurwitz(np.diag([-1.0, -1.0]))
-
-    def test_marginal_rotation(self):
-        assert not linalg.is_hurwitz([[0.0, 1.0], [-1.0, 0.0]])
-
-    def test_margin_validation(self):
-        with pytest.raises(ValueError):
-            linalg.is_hurwitz(np.diag([-1.0]), margin=-0.1)
-
-    def test_margin_excludes_slow_modes(self):
-        m = np.diag([-0.05, -2.0])
-        assert linalg.is_hurwitz(m, margin=0.0)
-        assert not linalg.is_hurwitz(m, margin=0.1)

@@ -10,7 +10,6 @@ from nopanet import (
     NopaParams,
     PassiveNetwork,
     cfb_topology,
-    kron,
     partition,
     to_quadrature,
 )
@@ -25,7 +24,7 @@ def random_unitary(rng, dim):
 
 
 def symplectic_form(n_fields):
-    return kron(np.eye(n_fields), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return np.kron(np.eye(n_fields), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 class TestNopaParams:
