@@ -1,11 +1,12 @@
 """Three independent derivations of the chain scalars (u, v).
 
 For the lossless N-NOPA chain the static transfer collapses to two scalars
-u and v.  This script computes them three ways -- scalar recurrences,
-cofactor determinants of the loop-elimination matrix, and brute-force
-matrix inversion -- and shows the three routes agreeing to ~1e-15 while N
-grows.  The sign of u*v picks the optimal output phases, and the optimal
-squeezing per quadrature pair is 2 (|u| - |v|)^2.
+u and v.  This script computes them from the rotation form of
+``closed_form`` and shows two oracles -- cofactor determinants of the
+loop-elimination matrix (checked against the scalar recurrences) and
+brute-force matrix inversion -- agreeing with it while N grows.  The sign of
+u*v picks the optimal output phases, and the optimal squeezing per
+quadrature pair is 2 (|u| - |v|)^2.
 """
 
 from nopanet import (
@@ -23,7 +24,7 @@ def main():
     coeffs = static_coefficients(x, y)
     print(f"x={x}, y={y}  (h1={coeffs.h1:.6f}, h2={coeffs.h2:.6f})")
     print()
-    header = f"{'N':>3} {'u (recurrence)':>18} {'v (recurrence)':>18} {'det gap':>10} {'matrix gap':>10} {'V_opt':>12}"
+    header = f"{'N':>3} {'u (rotation)':>18} {'v (rotation)':>18} {'det gap':>10} {'matrix gap':>10} {'V_opt':>12}"
     print(header)
     for n in range(2, 11):
         r = closed_form(coeffs, n)

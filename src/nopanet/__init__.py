@@ -8,7 +8,8 @@ Library layout:
 * ``dynamics``     finite-bandwidth state space and transfer function
 * ``static_limit`` infinite-bandwidth transfer and the L-pattern algebra
 * ``entanglement`` two-mode squeezing spectra and EPR verdicts
-* ``closed_form``  recurrence/determinant formulas for the chain optimum
+* ``closed_form``  rotation form of the chain optimum, recurrence and
+                   determinant oracles
 * ``cli``          command-line front end (``nopanet`` entry point)
 """
 

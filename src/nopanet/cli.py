@@ -15,9 +15,9 @@ import sys
 import numpy as np
 
 from . import dynamics, entanglement, static_limit
-from .closed_form import closed_form, determinant_path, optimal_thetas
+from .closed_form import closed_form, determinant_path
 from .errors import NopanetError, ConfigError, StabilityError, WellPosednessError
-from .network import GAMMA_R_REF, K_REF, NopaParams, PassiveNetwork, to_quadrature
+from .network import GAMMA_R_REF, NopaParams, PassiveNetwork, to_quadrature
 from .static_limit import (
     is_l2_matrix,
     random_l2_matrix,
@@ -139,18 +139,12 @@ def _view_coefficients(view: dict):
 
 
 def _thetas_from_config(cfg: dict, view: dict, net: PassiveNetwork):
-    """Output phases; "optimal" takes the static optimum.
-
-    That optimum comes from the closed form for lossless chains and from
-    the exact phase-sum optimum of the static transfer for every other
-    network (custom topologies, K > 0).
-    """
+    """Output phases; "optimal" takes the exact phase-sum optimum of the static transfer."""
     ta, tb = cfg.get("theta_a", 0.0), cfg.get("theta_b", 0.0)
     if ta == "optimal" or tb == "optimal":
-        coeffs = _view_coefficients(view)
-        if view["K"] == 0 and cfg.get("topology", "cfb") == "cfb":
-            return optimal_thetas(closed_form(coeffs, net.n_nopas))[0]
-        found = entanglement.vanishing_search(static_transfer(coeffs, net).h_n)
+        found = entanglement.vanishing_search(
+            static_transfer(_view_coefficients(view), net).h_n
+        )
         return found.psi1, found.psi2
     return float(ta), float(tb)
 
@@ -206,11 +200,7 @@ def cmd_spectrum(args) -> int:
     omegas = _omega_grid(cfg)
     theta_a, theta_b = _thetas_from_config(cfg, view, net)
     ss = dynamics.build_closed_loop(params, net)
-    try:
-        results = entanglement.squeezing_spectrum(ss, omegas, theta_a, theta_b)
-    except StabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
+    results = entanglement.squeezing_spectrum(ss, omegas, theta_a, theta_b)
     rows = [
         {
             "omega_rad_s": r.omega,
@@ -284,14 +274,14 @@ def cmd_compare(args) -> int:
     rows = []
     for n in range(n_min, n_max + 1):
         x_n = math.sqrt(n_ref / n) * x_ref
-        params = NopaParams.from_normalized(x_n, y)
-        report = dynamics.stability(params, PassiveNetwork.cfb(n))
         result = closed_form(static_coefficients(x_n, y), n)
+        # the lossless chain is Hurwitz exactly below this bound
+        stable = x_n * y < math.tan(math.pi / (4 * n))
         rows.append(
             {
                 "n": n,
                 "x_n": x_n,
-                "stable": str(report.stable).lower(),
+                "stable": str(stable).lower(),
                 "v_opt": result.v_opt,
                 "v_opt_db": 10.0 * math.log10(result.v_opt),
             }

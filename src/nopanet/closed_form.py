@@ -1,12 +1,11 @@
 """Closed-form optimal squeezing of the lossless N-NOPA feedback chain.
 
-Two derivation routes for the chain scalars (u, v) live here:
-
-* a pair of scalar recurrences (m_k, n_k) driven by the static coefficients,
-  giving u and v directly; and
-* cofactor determinants of the loop-elimination matrix, evaluated both from
-  closed recursion formulas and by LU on the elimination matrix that the
-  chain network builds and on its two first-row minors.
+In the (a, b^dagger) basis one static NOPA is -Rot(2 atan(xy)), so the chain
+is +-Rot(theta) with theta = 2N atan(xy): u = (-1)^N sec(theta) and
+v = -tan(theta).  ``closed_form`` evaluates this rotation form.  The paper's
+routes stay as its oracles: the scalar recurrences (m_k, n_k), and cofactor
+determinants of the loop-elimination matrix, from closed formulas on the
+recurrence values and by LU on the matrix the chain network builds.
 
 The sign of uv selects the optimal output phase-shift configuration, and
 the optimal squeezing per quadrature pair is 2 (|u| - |v|)^2.
@@ -14,13 +13,15 @@ the optimal squeezing per quadrature pair is 2 (|u| - |v|)^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRecurrenceError, DimensionError, NumericalError
+from .errors import DegenerateRecurrenceError, NumericalError, WellPosednessError
+from .linalg import RCOND_MIN
 from .network import PassiveNetwork
-from .static_limit import StaticCoefficients, elimination_matrix
+from .static_limit import StaticCoefficients, elimination_matrix, invert_elimination
 
 # Optimal phase-shift classes, keyed by the sign of uv.
 THETA_SUM_PI = "sum-is-pi"  # |theta_a + theta_b| = pi
@@ -48,12 +49,60 @@ class ClosedFormResult:
     upsilon: float  # u * v
     theta_class: str
     v_opt: float  # optimal V+ = V- per quadrature pair
-    n_prod_sign: int  # sign of prod n_k, kept for auditing the Upsilon forms
 
 
-def _require_lossless(coeffs: StaticCoefficients):
+def _require_chain(coeffs: StaticCoefficients, n: int):
     if coeffs.big_k != 0:
         raise ValueError("closed forms cover the lossless case only (K = 0)")
+    if n < 2:
+        raise ValueError(f"chain closed forms require N >= 2, got {n}")
+
+
+def closed_form(coeffs: StaticCoefficients, n: int) -> ClosedFormResult:
+    """Optimal-squeezing summary of the lossless N-NOPA chain (N >= 2).
+
+    With theta = 2N atan(xy), the rotation form gives u = (-1)^N / cos(theta)
+    and v = -sin(theta) / cos(theta).  V_opt = 2 (|u| - |v|)^2 is evaluated as
+    2 (cos(theta) / (1 + |sin(theta)|))^2, which has no cancellation.  Where
+    |cos(theta)| is below ``RCOND_MIN`` * theta, the rounding scale of theta,
+    the static loop is singular and ``WellPosednessError`` is raised, as
+    ``static_transfer`` does.
+    """
+    _require_chain(coeffs, n)
+    theta = 2.0 * n * math.atan(coeffs.x * coeffs.y)
+    c, s = math.cos(theta), math.sin(theta)
+    if abs(c) < RCOND_MIN * theta:
+        raise WellPosednessError(
+            f"static chain has a pole: theta = 2N atan(xy) = {theta!r} is an odd "
+            "multiple of pi/2"
+        )
+    u = (-1.0 if n % 2 else 1.0) / c
+    v = -s / c
+    upsilon = u * v
+    if upsilon > 0:
+        theta_class = THETA_SUM_PI
+    elif upsilon < 0:
+        theta_class = THETA_SUM_ZERO
+    else:
+        theta_class = THETA_INDIFFERENT
+    return ClosedFormResult(
+        n_nopas=n,
+        u=u,
+        v=v,
+        upsilon=upsilon,
+        theta_class=theta_class,
+        v_opt=2.0 * (c / (1.0 + abs(s))) ** 2,
+    )
+
+
+def optimal_thetas(result: ClosedFormResult) -> list[tuple[float, float]]:
+    """Canonical representatives of the optimal phase-shift class."""
+    if result.theta_class == THETA_SUM_PI:
+        return [(np.pi / 2, np.pi / 2)]
+    return [(0.0, 0.0)]
+
+
+# --- oracles: the paper's recurrence and determinant routes -----------------
 
 
 def recurrences(coeffs: StaticCoefficients, n: int) -> RecurrenceResult:
@@ -62,9 +111,7 @@ def recurrences(coeffs: StaticCoefficients, n: int) -> RecurrenceResult:
     Starts from m_1 = 0, n_0 = n_1 = 1 and returns the step-(N-1) values
     together with the running product of n_0 .. n_{N-2}.
     """
-    _require_lossless(coeffs)
-    if n < 2:
-        raise ValueError(f"chain recurrences require N >= 2, got {n}")
+    _require_chain(coeffs, n)
     h1, h2 = coeffs.h1, coeffs.h2
     m_k, n_k = 0.0, 1.0
     prod = 1.0  # n_0
@@ -83,58 +130,13 @@ def recurrences(coeffs: StaticCoefficients, n: int) -> RecurrenceResult:
     return RecurrenceResult(m_last=m_k, n_last=n_k, n_prod=prod)
 
 
-def _uv_from_recurrence(coeffs: StaticCoefficients, n: int, rec: RecurrenceResult):
-    h1, h2 = coeffs.h1, coeffs.h2
-    denom = h1 * h2 * rec.m_last + rec.n_last - h2**2 * rec.n_last
-    if abs(denom) < RECURRENCE_GUARD:
-        raise DegenerateRecurrenceError("terminal recurrence denominator vanished")
-    try:
-        u = h1**n / (denom * rec.n_prod)
-    except OverflowError as exc:
-        raise NumericalError(f"h1**N overflows at N={n}: |h1| = {abs(h1):.6g}") from exc
-    v = h2 - h1**2 * (h1 * rec.m_last - h2 * rec.n_last) / denom
-    return u, v
-
-
-def closed_form(coeffs: StaticCoefficients, n: int) -> ClosedFormResult:
-    """Optimal-squeezing summary of the lossless N-NOPA chain (N >= 2)."""
-    rec = recurrences(coeffs, n)
-    u, v = _uv_from_recurrence(coeffs, n, rec)
-    upsilon = u * v
-    if upsilon > 0:
-        theta_class = THETA_SUM_PI
-        v_opt = 2.0 * (u - v) ** 2
-    elif upsilon < 0:
-        theta_class = THETA_SUM_ZERO
-        v_opt = 2.0 * (u + v) ** 2
-    else:
-        theta_class = THETA_INDIFFERENT
-        v_opt = 2.0 * (u**2 + v**2)
-    return ClosedFormResult(
-        n_nopas=n,
-        u=u,
-        v=v,
-        upsilon=upsilon,
-        theta_class=theta_class,
-        v_opt=v_opt,
-        n_prod_sign=int(np.sign(rec.n_prod)) or 1,
-    )
-
-
-def optimal_thetas(result: ClosedFormResult) -> list[tuple[float, float]]:
-    """Canonical representatives of the optimal phase-shift class."""
-    if result.theta_class == THETA_SUM_PI:
-        return [(np.pi / 2, np.pi / 2)]
-    return [(0.0, 0.0)]
-
-
 # --- determinant route -------------------------------------------------------
 #
 # The loop-elimination matrix I - S22 (I (x) W12) of the chain has
 # determinant det(T3); removing its first row and its third (resp. (4N-3)-th)
 # column, then padding back to square with a leading identity row/column,
-# gives T1 (resp. T2).  Their determinants satisfy the same scalar recursion
-# as the closed route.
+# gives T1 (resp. T2).  Their determinants follow from the recurrence
+# values in closed form (``_closed_determinants``).
 
 
 def _first_row_minor(t: np.ndarray, col: int) -> np.ndarray:
@@ -180,14 +182,15 @@ def determinant_path(coeffs: StaticCoefficients, n: int):
     Evaluates det(T1), det(T2), det(T3) both from the closed recursion
     formulas and by LU on the chain's elimination matrix and its two
     first-row minors; any relative disagreement beyond 1e-9 is an error.
-    Returns the pair from the matrix route.
+    An elimination matrix that fails the condition check of
+    ``static_transfer`` raises the same ``WellPosednessError``.  Returns the
+    pair from the matrix route.
     """
-    _require_lossless(coeffs)
-    if n < 2:
-        raise ValueError(f"determinant route requires N >= 2, got {n}")
+    _require_chain(coeffs, n)
     rec = recurrences(coeffs, n)
     closed = _closed_determinants(coeffs, n, rec)
     t3 = t3_matrix(coeffs, n)
+    invert_elimination(t3)
     assembled = tuple(
         np.linalg.det(t) for t in (_first_row_minor(t3, 2), _first_row_minor(t3, 4 * n - 4), t3)
     )

@@ -13,14 +13,12 @@ class SingularMatrixError(NopanetError):
     """Matrix is singular (or numerically indistinguishable from singular).
 
     ``rcond`` is the reciprocal 1-norm condition estimate that failed the
-    check (0 when the factorisation broke down), ``det_magnitude`` the |det|
-    of the rejected matrix and ``index`` its position in a stack (None for a
-    single matrix).
+    check (0 when the factorisation broke down) and ``index`` the position
+    of the rejected matrix in a stack (None for a single matrix).
     """
 
-    def __init__(self, message, det_magnitude=None, rcond=None, index=None):
+    def __init__(self, message, rcond=None, index=None):
         super().__init__(message)
-        self.det_magnitude = det_magnitude
         self.rcond = rcond
         self.index = index
 

@@ -56,15 +56,15 @@ def _rcond(a: np.ndarray, x: np.ndarray, b: np.ndarray | None) -> np.ndarray:
 
 def _raise_singular(a: np.ndarray, rcond: np.ndarray | None):
     """Raise for the worst matrix of a stack: least rcond, or zero det if LU broke down."""
-    with np.errstate(all="ignore"):
-        det = np.abs(np.linalg.det(a))
-    key = det if rcond is None else rcond
+    key = rcond
+    if rcond is None:  # only a determinant names the singular member
+        with np.errstate(all="ignore"):
+            key = np.abs(np.linalg.det(a))
     worst = np.unravel_index(np.argmin(key), key.shape)
     worst_rcond = 0.0 if rcond is None else float(np.nan_to_num(rcond[worst]))
     where = f" (stack index {worst})" if worst else ""
     raise SingularMatrixError(
         f"matrix is singular{where}: rcond = {worst_rcond:.3e} < {RCOND_MIN:g}",
-        det_magnitude=float(det[worst]),
         rcond=worst_rcond,
         index=worst or None,
     )

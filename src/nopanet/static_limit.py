@@ -101,13 +101,7 @@ def static_transfer(coeffs: StaticCoefficients, net: PassiveNetwork) -> StaticTr
     w12, w34 = w_blocks(coeffs)
     wi = np.kron(np.eye(n), w12)
     wl = np.kron(np.eye(n), w34)
-    try:
-        p_n = inverse(elimination_matrix(coeffs, net))
-    except SingularMatrixError as exc:
-        raise WellPosednessError(
-            "static loop elimination is singular; the finite-bandwidth system "
-            f"is unstable or marginally stable ({exc})"
-        ) from exc
+    p_n = invert_elimination(elimination_matrix(coeffs, net))
     s12_wi_p = s12 @ wi @ p_n
     direct = s11 + s12_wi_p @ s21
     loss = (s12 + s12_wi_p @ s22) @ wl
@@ -207,6 +201,17 @@ def extract_uv(st: StaticTransfer):
             f"u={u!r} vs {u_p!r}, v={v!r} vs {v_p!r}"
         )
     return float(u), float(v)
+
+
+def invert_elimination(m: np.ndarray) -> np.ndarray:
+    """Inverse of an elimination matrix; a singular one is an ill-posed loop."""
+    try:
+        return inverse(m)
+    except SingularMatrixError as exc:
+        raise WellPosednessError(
+            "static loop elimination is singular; the finite-bandwidth system "
+            f"is unstable or marginally stable ({exc})"
+        ) from exc
 
 
 def elimination_matrix(coeffs: StaticCoefficients, net: PassiveNetwork) -> np.ndarray:

@@ -12,9 +12,11 @@ import pytest
 
 import nopanet
 from nopanet import (
+    NopaParams,
     PassiveNetwork,
     cfb_topology,
     closed_form,
+    stability,
     static_coefficients,
     static_transfer,
     vanishing_search,
@@ -260,11 +262,14 @@ class TestTheoremCommand:
         assert "epsilon/gamma" in err
         assert "x must be" not in err
 
-    def test_closed_form_overflow_is_an_error_exit(self, tmp_path, capsys):
-        # |h1| ~ 1e4, so h1**80 is out of the float range
+    def test_long_unstable_chain_answers(self, tmp_path):
+        # |h1| ~ 1e4, so h1**80 is out of the float range; the rotation form
+        # and the matrix oracle still answer
         cfg = self.theorem_cfg(tmp_path, x=0.9999, n=80)
-        assert main(["theorem", "--config", cfg]) == EXIT_CONFIG
-        assert "overflows" in capsys.readouterr().err
+        out = tmp_path / "thm.json.out"
+        assert main(["theorem", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["u_discrepancy"] <= 1e-9
 
     def test_lossy_rejected(self, tmp_path):
         cfg = write_json(
@@ -314,6 +319,26 @@ class TestCompareCommand:
         else:
             assert err.count("\n") == 1
             assert note in err and "not reachable" in err
+
+    @pytest.mark.parametrize("y", [0.5, 1.0])
+    def test_stable_column_matches_eigen_verdict(self, tmp_path, y):
+        # the column comes from the bound x y < tan(pi/(4N)); stability() is its oracle
+        verdicts = set()
+        for x_ref in np.linspace(0.01, 0.2, 12):
+            cfg = write_json(
+                tmp_path / "cmp.json", {"x_ref": x_ref, "n_ref": 10, "n_max": 20, "y": y}
+            )
+            out = tmp_path / "cmp.csv"
+            assert main(["compare", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            for line in out.read_text().strip().splitlines()[1:]:
+                n, x_n, stable = line.split(",")[:3]
+                n, x_n = int(n), float(x_n)
+                if abs(x_n * y / math.tan(math.pi / (4 * n)) - 1.0) < 1e-9:
+                    continue  # on the bound the eigen verdict is rounding
+                report = stability(NopaParams.from_normalized(x_n, y), PassiveNetwork.cfb(n))
+                assert stable == str(report.stable).lower(), (n, x_n, y)
+                verdicts.add(stable)
+        assert verdicts == {"true", "false"}
 
     def test_explicit_x_ref_matches_preset(self, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,4 +1,4 @@
-"""Closed-form chain optimum: recurrences, determinant route, optimality."""
+"""Closed-form chain optimum: the rotation form, its recurrence and determinant oracles."""
 
 import math
 
@@ -25,7 +25,7 @@ from nopanet.closed_form import (
     t2_matrix,
     t3_matrix,
 )
-from nopanet.errors import DegenerateRecurrenceError, NumericalError
+from nopanet.errors import DegenerateRecurrenceError, NumericalError, WellPosednessError
 from nopanet.static_limit import elimination_matrix
 
 
@@ -99,6 +99,12 @@ class TestClosedForm:
         for n in (2, 3, 4, 6):
             r = closed_form(static_coefficients(0.08, 0.9), n)
             assert r.v_opt == pytest.approx(2.0 * (abs(r.u) - abs(r.v)) ** 2, rel=1e-12)
+
+    def test_rejects_lossy_and_single_nopa(self):
+        with pytest.raises(ValueError):
+            closed_form(static_coefficients(0.1, 1.0, big_k=0.1), 2)
+        with pytest.raises(ValueError):
+            closed_form(static_coefficients(0.1, 1.0), 1)
 
     def test_pumped_stable_chain_beats_shot_noise(self):
         for n in (2, 3, 4):
@@ -216,22 +222,83 @@ class TestThreePathGrid:
 
 
 class TestDegenerateGuard:
-    def test_reports_step_when_denominator_vanishes(self):
-        # h2^2 = 1 makes n_2 = 0 exactly: requires r^2 - (1)^2 = -2r i.e.
-        # r = sqrt(2) - 1, the 2-NOPA threshold; the N=4 recurrence degenerates.
+    def test_oracles_degenerate_where_the_rotation_answers(self):
+        # h2^2 = 1 makes n_2 = 0 exactly: the 2-NOPA sub-chain sits on its pole
+        # at r = sqrt(2) - 1, so the recurrence degenerates at N = 4, while the
+        # 4-NOPA chain itself (theta = pi) is regular: u = -1, v = 0.
         x = math.sqrt(2.0) - 1.0
         c = static_coefficients(x, 1.0)
         assert c.h2**2 == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(DegenerateRecurrenceError):
-            closed_form(c, 4)
+            recurrences(c, 4)
+        with pytest.raises(DegenerateRecurrenceError):
+            determinant_path(c, 4)
+        r = closed_form(c, 4)
+        assert r.u == -1.0
+        assert abs(r.v) <= 1e-15
+        u_m, v_m = extract_uv(static_transfer(c, PassiveNetwork.cfb(4)))
+        assert abs(r.u - u_m) <= 1e-15
+        assert abs(r.v - v_m) <= 1e-15
 
 
 class TestOverflow:
-    def test_long_chain_overflow_is_typed(self):
-        # h1**N leaves the float range at N = 5000, x = 0.3
-        with pytest.raises(NumericalError):
-            closed_form(static_coefficients(0.3, 1.0), 5000)
+    def test_long_chain_stays_finite(self):
+        # h1**N leaves the float range at N = 5000, x = 0.3; the rotation does not
+        r = closed_form(static_coefficients(0.3, 1.0), 5000)
+        assert math.isfinite(r.u) and math.isfinite(r.v)
+        assert abs(r.u**2 - r.v**2 - 1.0) <= 1e-12 * r.u**2
 
     def test_closed_determinants_overflow_is_typed(self):
         with pytest.raises(NumericalError):
             determinant_path(static_coefficients(0.9999, 1.0), 80)
+
+
+class TestPole:
+    def test_every_route_raises_at_the_two_nopa_pole(self):
+        # theta = 4 atan(tan(pi/8)) = pi/2: a pole of the static loop
+        c = static_coefficients(math.tan(math.pi / 8), 1.0)
+        with pytest.raises(WellPosednessError):
+            closed_form(c, 2)
+        with pytest.raises(WellPosednessError):
+            static_transfer(c, PassiveNetwork.cfb(2))
+        with pytest.raises(WellPosednessError):
+            determinant_path(c, 2)
+
+
+def _mp_recurrence(x, y, n):
+    """(u, v, V_opt) of the paper's recurrence in 60-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        r = mp.mpf(x) * mp.mpf(y)
+        h1 = (r**2 + 1) / (r**2 - 1)
+        h2 = 2 * r / (r**2 - 1)
+        m_k, n_k, prod = mp.mpf(0), mp.mpf(1), mp.mpf(1)
+        for _ in range(1, n - 1):
+            prod *= n_k
+            ratio = m_k / n_k
+            m_k, n_k = -h1 * h2 + h1**2 * ratio, 1 - h2**2 + h1 * h2 * ratio
+        denom = h1 * h2 * m_k + n_k - h2**2 * n_k
+        u = h1**n / (denom * prod)
+        v = h2 - h1**2 * (h1 * m_k - h2 * n_k) / denom
+        return u, v, 2 * (abs(u) - abs(v)) ** 2
+
+
+class TestRotationAccuracy:
+    FRACTIONS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 0.9999)
+
+    def test_matches_60_digit_recurrence(self):
+        # stable chains up to 0.9999 of the bound x y < tan(pi/(4N)), where
+        # V_opt falls to ~1e-8, plus the deep point N = 36, x = 0.0218
+        cases = [
+            (f * math.tan(math.pi / (4 * n)) / y, y, n)
+            for n in range(2, 41)
+            for y in (0.5, 0.8, 1.0)
+            for f in self.FRACTIONS
+        ]
+        cases.append((0.0218, 1.0, 36))
+        worst = 0.0
+        for x, y, n in cases:
+            r = closed_form(static_coefficients(x, y), n)
+            for got, ref in zip((r.u, r.v, r.v_opt), _mp_recurrence(x, y, n)):
+                worst = max(worst, float(abs(got - ref) / abs(ref)))
+        assert worst <= 1e-11
