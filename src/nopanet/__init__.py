@@ -6,10 +6,12 @@ Library layout:
                    spectra)
 * ``network``      NOPA parameters and the passive interconnect
 * ``dynamics``     finite-bandwidth state space and transfer function
-* ``static_limit`` infinite-bandwidth transfer and the L-pattern algebra
+* ``static_limit`` infinite-bandwidth transfer of any network
 * ``entanglement`` two-mode squeezing spectra and EPR verdicts
-* ``closed_form``  rotation form of the chain optimum, recurrence and
-                   determinant oracles
+* ``closed_form``  rotation form of the chain optimum and its phase classes
+* ``oracles``      cross-checks: the paper's recurrence, determinant and
+                   brute-force (u, v) routes, the L-pattern algebra and the
+                   randomized property trial of ``nopanet verify``
 * ``cli``          command-line front end (``nopanet`` entry point)
 """
 
@@ -19,11 +21,8 @@ from .closed_form import (
     THETA_SUM_PI,
     THETA_SUM_ZERO,
     ClosedFormResult,
-    RecurrenceResult,
     closed_form,
-    determinant_path,
     optimal_thetas,
-    recurrences,
 )
 from .dynamics import (
     NopaFrequencyResponse,
@@ -54,12 +53,17 @@ from .network import (
     partition,
     to_quadrature,
 )
-from .static_limit import (
-    StaticCoefficients,
-    StaticTransfer,
+from .oracles import (
+    RecurrenceResult,
+    determinant_path,
     extract_uv,
     is_l2_matrix,
     random_l2_matrix,
+    recurrences,
+)
+from .static_limit import (
+    StaticCoefficients,
+    StaticTransfer,
     single_nopa_transfer,
     static_coefficients,
     static_transfer,

@@ -14,16 +14,11 @@ import sys
 
 import numpy as np
 
-from . import dynamics, entanglement, static_limit
-from .closed_form import closed_form, determinant_path
-from .errors import NopanetError, ConfigError, StabilityError, WellPosednessError
-from .network import GAMMA_R_REF, NopaParams, PassiveNetwork, to_quadrature
-from .static_limit import (
-    is_l2_matrix,
-    random_l2_matrix,
-    static_coefficients,
-    static_transfer,
-)
+from . import dynamics, entanglement, oracles
+from .closed_form import closed_form
+from .errors import NopanetError, ConfigError, StabilityError
+from .network import GAMMA_R_REF, NopaParams, PassiveNetwork
+from .static_limit import static_coefficients, static_transfer
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -42,9 +37,12 @@ def _fmt(x) -> str:
 def _load_config(path) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return doc
 
 
 def _params_from_config(cfg: dict) -> tuple[NopaParams, dict]:
@@ -92,6 +90,8 @@ def _network_from_config(cfg: dict) -> PassiveNetwork:
             return PassiveNetwork.from_json(cfg["matrix_file"])
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read matrix file: {exc}") from exc
     except NopanetError as exc:
         raise ConfigError(f"invalid network: {exc}") from exc
     raise ConfigError(f"unknown topology {topology!r}")
@@ -139,9 +139,14 @@ def _view_coefficients(view: dict):
 
 
 def _thetas_from_config(cfg: dict, view: dict, net: PassiveNetwork):
-    """Output phases; "optimal" takes the exact phase-sum optimum of the static transfer."""
+    """Output phases; "optimal" takes the exact phase-sum optimum of the static transfer.
+
+    That optimum fixes both phases, so "optimal" is taken for both or neither.
+    """
     ta, tb = cfg.get("theta_a", 0.0), cfg.get("theta_b", 0.0)
-    if ta == "optimal" or tb == "optimal":
+    if (ta == "optimal") != (tb == "optimal"):
+        raise ConfigError('theta_a and theta_b must both be "optimal" or both be numbers')
+    if ta == "optimal":
         found = entanglement.vanishing_search(
             static_transfer(_view_coefficients(view), net).h_n
         )
@@ -229,7 +234,7 @@ def cmd_theorem(args) -> int:
     coeffs = _view_coefficients(view)
     result = closed_form(coeffs, net.n_nopas)
     st = static_transfer(coeffs, net)
-    u_m, v_m = static_limit.extract_uv(st)
+    u_m, v_m = oracles.extract_uv(st)
     doc = {
         "n_nopas": result.n_nopas,
         "u": result.u,
@@ -297,74 +302,15 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-# --- verify ------------------------------------------------------------------
-
-
-def _random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
-
-
-def _verify_trial(rng: np.random.Generator) -> dict:
-    """One randomized trial of every property suite; returns failure details."""
-    failures = {}
-    n = int(rng.integers(2, 7))
-    # Closure of the parity-patterned class under product and inverse.
-    e = random_l2_matrix(n, rng)
-    f = random_l2_matrix(n, rng)
-    if not is_l2_matrix(e @ f, tol=1e-9):
-        failures["l2_product_closure"] = {"n": n}
-    e_inv_src = random_l2_matrix(n, rng, max_cond=1e6)
-    if not is_l2_matrix(np.linalg.inv(e_inv_src), tol=1e-8):
-        failures["l2_inverse_closure"] = {"n": n}
-    # Quadrature map of a random unitary is orthogonal symplectic.
-    dim = 2 * (n + 1)
-    u = _random_unitary(rng, dim)
-    sq = to_quadrature(u)
-    jj = np.kron(np.eye(dim), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    if (
-        np.max(np.abs(sq.T @ sq - np.eye(2 * dim))) > 1e-12
-        or np.max(np.abs(sq.T @ jj @ sq - jj)) > 1e-12
-    ):
-        failures["quadrature_symplectic"] = {"n": n}
-    # Stability implies a well-conditioned static loop elimination,
-    # and the three (u, v) routes agree, and H(i0) matches the static map.
-    x = float(rng.uniform(0.01, 0.35))
-    y = float(rng.uniform(0.5, 1.0))
-    params = NopaParams.from_normalized(x, y)
-    net = PassiveNetwork.cfb(n)
-    report = dynamics.stability(params, net)
-    if report.stable:
-        coeffs = static_coefficients(x, y)
-        try:
-            st = static_transfer(coeffs, net)
-        except WellPosednessError:
-            failures["stability_implies_invertible"] = {"n": n, "x": x, "y": y}
-            return failures
-        u_m, v_m = static_limit.extract_uv(st)
-        result = closed_form(coeffs, n)
-        u_d, v_d = determinant_path(coeffs, n)
-        if max(
-            abs(result.u - u_m), abs(result.v - v_m), abs(result.u - u_d), abs(result.v - v_d)
-        ) > 1e-9 * max(1.0, abs(result.u), abs(result.v)):
-            failures["uv_three_path"] = {"n": n, "x": x, "y": y}
-        ss = dynamics.build_closed_loop(params, net)
-        h0 = dynamics.transfer(ss, 0.0)
-        if np.max(np.abs(h0 - st.h_n)) > 1e-9 * max(1.0, np.max(np.abs(h0))):
-            failures["omega_zero_consistency"] = {"n": n, "x": x, "y": y}
-    return failures
-
-
 def cmd_verify(args) -> int:
     trials = args.trials
     seed = args.seed
-    replay_doc = None
     if args.replay:
-        with open(args.replay) as f:
-            replay_doc = json.load(f)
-        seed = int(replay_doc["seed"])
-        trials = int(replay_doc["trials"])
+        replay_doc = _load_config(args.replay)
+        try:
+            seed, trials = int(replay_doc["seed"]), int(replay_doc["trials"])
+        except KeyError as exc:
+            raise ConfigError(f"replay file {args.replay} lacks key {exc}") from exc
         if args.config is None:
             args.config = replay_doc.get("config")
     lines = [f"seed: {seed}", f"trials: {trials}"]
@@ -382,7 +328,7 @@ def cmd_verify(args) -> int:
                 lines.append(f"custom-matrix unitarity: FAIL ({exc})")
     rng = np.random.default_rng(seed)
     for trial in range(trials):
-        failures = _verify_trial(rng)
+        failures = oracles.property_trial(rng)
         if failures:
             failed.append({"trial": trial, "failures": failures})
     passed = trials - len(failed)

@@ -35,8 +35,6 @@ class StateSpace:
     b: np.ndarray  # 4N x (4 + 4N)
     c: np.ndarray  # 4 x 4N
     d: np.ndarray  # 4 x (4 + 4N)
-    n_nopas: int
-    params: NopaParams
 
     @cached_property
     def _resolvent_rhs(self) -> np.ndarray:
@@ -104,7 +102,7 @@ def build_closed_loop(p: NopaParams, net: PassiveNetwork) -> StateSpace:
     b = np.hstack([-sg * loop @ s21, -sk * np.eye(4 * n)])
     c = sg * s12 @ loop
     d = np.hstack([s11 + s12 @ loop @ s21, np.zeros((4, 4 * n))])
-    return StateSpace(a=a, b=b, c=c, d=d, n_nopas=n, params=p)
+    return StateSpace(a=a, b=b, c=c, d=d)
 
 
 def stability(p: NopaParams, net: PassiveNetwork) -> StabilityReport:

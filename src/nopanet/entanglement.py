@@ -50,11 +50,21 @@ class VanishingSearchResult:
     vanished: bool  # no phase pair beats the shot-noise total
 
 
-def _rotation_rows(theta_a: float, theta_b: float) -> tuple[np.ndarray, np.ndarray]:
-    """The q and p rows of the output rotation by (theta_a, theta_b)."""
+def _variances(h, theta_a: float, theta_b: float) -> np.ndarray:
+    """(V+, V-) of a 4-row transfer, or of a stack of them along the leading axes.
+
+    The squared norms of the q and p rows of the output rotation by
+    (theta_a, theta_b) applied to H.
+    """
     ca, sa = math.cos(theta_a), math.sin(theta_a)
     cb, sb = math.cos(theta_b), math.sin(theta_b)
-    return np.array([ca, -sa, cb, -sb]), np.array([sa, ca, -sb, -cb])
+    rotated = np.array([[ca, -sa, cb, -sb], [sa, ca, -sb, -cb]]) @ h
+    return np.sum(rotated.real**2 + rotated.imag**2, axis=-1)
+
+
+def _result(omega, theta_a: float, theta_b: float, v_plus: float, v_minus: float) -> SqueezingResult:
+    total = v_plus + v_minus
+    return SqueezingResult(omega, theta_a, theta_b, v_plus, v_minus, total, total < SHOT_NOISE_TOTAL)
 
 
 def squeezing(h, theta_a: float = 0.0, theta_b: float = 0.0, omega: float | None = None) -> SqueezingResult:
@@ -62,21 +72,7 @@ def squeezing(h, theta_a: float = 0.0, theta_b: float = 0.0, omega: float | None
     a = np.asarray(h)
     if a.ndim != 2 or a.shape[0] != 4:
         raise DimensionError(f"transfer must have 4 rows, got shape {a.shape}")
-    q_row, p_row = _rotation_rows(theta_a, theta_b)
-    hq = q_row @ a
-    hp = p_row @ a
-    v_plus = float(np.real(np.vdot(hq, hq)))
-    v_minus = float(np.real(np.vdot(hp, hp)))
-    total = v_plus + v_minus
-    return SqueezingResult(
-        omega=omega,
-        theta_a=theta_a,
-        theta_b=theta_b,
-        v_plus=v_plus,
-        v_minus=v_minus,
-        v_total=total,
-        entangled=total < SHOT_NOISE_TOTAL,
-    )
+    return _result(omega, theta_a, theta_b, *_variances(a, theta_a, theta_b).tolist())
 
 
 def squeezing_spectrum(
@@ -99,23 +95,12 @@ def squeezing_spectrum(
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 1:
         raise DimensionError(f"omegas must be a 1-d sequence, got shape {w.shape}")
-    rows = np.stack(_rotation_rows(theta_a, theta_b))
     variances = np.empty((len(w), 2))
     for start in range(0, len(w), SPECTRUM_CHUNK):
-        rotated = rows @ transfer(ss, w[start : start + SPECTRUM_CHUNK])
-        variances[start : start + SPECTRUM_CHUNK] = np.sum(
-            rotated.real**2 + rotated.imag**2, axis=-1
-        )
+        part = slice(start, start + SPECTRUM_CHUNK)
+        variances[part] = _variances(transfer(ss, w[part]), theta_a, theta_b)
     return [
-        SqueezingResult(
-            omega=omega,
-            theta_a=theta_a,
-            theta_b=theta_b,
-            v_plus=v_plus,
-            v_minus=v_minus,
-            v_total=v_plus + v_minus,
-            entangled=v_plus + v_minus < SHOT_NOISE_TOTAL,
-        )
+        _result(omega, theta_a, theta_b, v_plus, v_minus)
         for omega, (v_plus, v_minus) in zip(w.tolist(), variances.tolist())
     ]
 

@@ -60,7 +60,7 @@ def _raise_singular(a: np.ndarray, rcond: np.ndarray | None):
     if rcond is None:  # only a determinant names the singular member
         with np.errstate(all="ignore"):
             key = np.abs(np.linalg.det(a))
-    worst = np.unravel_index(np.argmin(key), key.shape)
+    worst = tuple(int(i) for i in np.unravel_index(np.argmin(key), key.shape))
     worst_rcond = 0.0 if rcond is None else float(np.nan_to_num(rcond[worst]))
     where = f" (stack index {worst})" if worst else ""
     raise SingularMatrixError(

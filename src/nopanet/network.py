@@ -134,7 +134,7 @@ def partition(s_quad) -> Blocks:
     """Split a quadrature interconnect into its 4 / 4N block structure.
 
     Rows/columns 0..3 carry the external (output/input) quadratures, the
-    remaining 4N carry the NOPA-facing ones.
+    remaining 4N carry the NOPA-facing ones.  The blocks are views of it.
     """
     a = as_matrix(s_quad)
     dim = a.shape[0]
@@ -142,12 +142,7 @@ def partition(s_quad) -> Blocks:
         raise DimensionError(
             f"quadrature interconnect must be square of size 4(N+1) >= 8, got {a.shape}"
         )
-    return Blocks(
-        s11=a[:4, :4].copy(),
-        s12=a[:4, 4:].copy(),
-        s21=a[4:, :4].copy(),
-        s22=a[4:, 4:].copy(),
-    )
+    return Blocks(s11=a[:4, :4], s12=a[:4, 4:], s21=a[4:, :4], s22=a[4:, 4:])
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ from nopanet import (
     static_transfer,
     vanishing_search,
 )
-from nopanet.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, EXIT_VERIFY, _random_unitary, main
+from nopanet.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, EXIT_VERIFY, main
 from nopanet.errors import WellPosednessError
+from nopanet.oracles import random_unitary
 
 
 def write_json(path, doc):
@@ -68,6 +69,11 @@ class TestStabilityCommand:
         code = main(["stability", "--config", str(tmp_path / "nope.json")])
         assert code == EXIT_CONFIG
 
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "list.json", [1, 2])
+        assert main(["stability", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_malformed_params(self, tmp_path):
         cfg = write_json(tmp_path / "bad.json", {"params": {"x": 0.1}, "n_nopas": 2})
         assert main(["stability", "--config", cfg]) == EXIT_CONFIG
@@ -97,6 +103,20 @@ class TestStabilityCommand:
             {"params": {"x": 0.1, "y": 1.0}, "topology": "custom", "matrix_file": mfile},
         )
         assert main(["stability", "--config", cfg]) == EXIT_CONFIG
+
+    def test_missing_matrix_file_is_config_error(self, tmp_path, capsys):
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {
+                "params": {"x": 0.1, "y": 1.0},
+                "topology": "custom",
+                "matrix_file": str(tmp_path / "absent.json"),
+            },
+        )
+        assert main(["stability", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "absent.json" in err
 
 
 class TestSpectrumCommand:
@@ -187,7 +207,7 @@ class TestSpectrumCommand:
     def test_optimal_theta_request_custom_topology(self, tmp_path):
         # the chain's closed-form phases are not this network's optimum: at
         # them V+ + V- reads 4.445 at omega = 0, where the network reaches 3.700
-        u = _random_unitary(np.random.default_rng(5), 8)
+        u = random_unitary(np.random.default_rng(5), 8)
         mfile = write_json(tmp_path / "net.json", {**matrix_doc(u), "n_nopas": 3})
         cfg = write_json(
             tmp_path / "custom.json",
@@ -208,6 +228,13 @@ class TestSpectrumCommand:
         assert float(first[3]) == pytest.approx(found.v_total, rel=1e-9)
         assert float(first[3]) == pytest.approx(3.700, abs=5e-4)
         assert first[4] == "true"
+
+    @pytest.mark.parametrize("ta,tb", [("optimal", 0.3), (0.3, "optimal")])
+    def test_mixed_optimal_phase_request_rejected(self, tmp_path, capsys, ta, tb):
+        # "optimal" sets both phases; a number beside it would be dropped
+        cfg = self.spectrum_cfg(tmp_path, theta_a=ta, theta_b=tb)
+        assert main(["spectrum", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_decreasing_grid_rejected(self, tmp_path):
         cfg = self.spectrum_cfg(tmp_path, omega_grid={"values": [1.0, 0.5]})
@@ -392,7 +419,7 @@ class TestVerifyCommand:
         def ill_posed(coeffs, net):
             raise WellPosednessError("static loop elimination is singular")
 
-        monkeypatch.setattr("nopanet.cli.static_transfer", ill_posed)
+        monkeypatch.setattr("nopanet.oracles.static_transfer", ill_posed)
         replay_path = tmp_path / "fail.json"
         code = main(["verify", "--seed", "7", "--trials", "5", "--out", str(replay_path)])
         assert code == EXIT_VERIFY
@@ -438,6 +465,19 @@ class TestVerifyCommand:
         # replaying the recorded failure reproduces the verdict
         code2 = main(["verify", "--replay", str(replay_path), "--out", str(tmp_path / "f2.json")])
         assert code2 == EXIT_VERIFY
+
+
+    def test_missing_replay_file_is_config_error(self, tmp_path, capsys):
+        code = main(["verify", "--replay", str(tmp_path / "missing.json")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_replay_file_without_seed_is_config_error(self, tmp_path, capsys):
+        replay = write_json(tmp_path / "replay.json", {"trials": 5})
+        assert main(["verify", "--replay", replay]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "'seed'" in err
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

@@ -16,16 +16,9 @@ from nopanet import (
     static_coefficients,
     static_transfer,
 )
-from nopanet.closed_form import (
-    THETA_INDIFFERENT,
-    THETA_SUM_PI,
-    THETA_SUM_ZERO,
-    _closed_determinants,
-    t1_matrix,
-    t2_matrix,
-    t3_matrix,
-)
+from nopanet.closed_form import THETA_INDIFFERENT, THETA_SUM_PI, THETA_SUM_ZERO
 from nopanet.errors import DegenerateRecurrenceError, NumericalError, WellPosednessError
+from nopanet.oracles import _closed_determinants, t1_matrix, t2_matrix, t3_matrix
 from nopanet.static_limit import elimination_matrix
 
 

@@ -250,6 +250,13 @@ class TestResolventGuard:
         with pytest.raises(StabilityError, match=r"omega=0\.0"):
             transfer(ss, np.array([1e9, 0.0, 2e9]))
 
+    def test_error_names_the_stack_index_in_plain_ints(self):
+        _, ss = chain(2, math.tan(math.pi / 8))
+        with pytest.raises(StabilityError, match=r"\(stack index \(1,\)\)") as err:
+            transfer(ss, np.array([1e9, 0.0, 2e9]))
+        assert err.value.__cause__.index == (1,)
+        assert type(err.value.__cause__.index[0]) is int
+
 
 @settings(max_examples=50, deadline=None)
 @given(

@@ -95,6 +95,13 @@ class TestSolve:
         assert err.value.index == (1,)
         assert err.value.rcond == 0.0
 
+    def test_stack_index_is_plain_ints(self):
+        a = np.stack([np.eye(2), np.eye(2), np.zeros((2, 2))]).reshape(3, 1, 2, 2)
+        with pytest.raises(SingularMatrixError, match=r"\(stack index \(2, 0\)\)") as err:
+            linalg.solve(a, np.eye(2))
+        assert err.value.index == (2, 0)
+        assert all(type(i) is int for i in err.value.index)
+
     def test_well_conditioned_passes_at_any_scale(self):
         rng = np.random.default_rng(37)
         m = with_condition(rng, 8, 1e8)
