@@ -313,6 +313,8 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"replay file {args.replay} lacks key {exc}") from exc
         if args.config is None:
             args.config = replay_doc.get("config")
+    if trials < 0:
+        raise ConfigError(f"trials must be nonnegative, got {trials}")
     lines = [f"seed: {seed}", f"trials: {trials}"]
     failed = []
     extra_failures = []

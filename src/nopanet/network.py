@@ -26,9 +26,6 @@ K_REF = 3e6 / (math.sqrt(2) * 0.6 * GAMMA_R_REF)
 
 UNITARITY_TOL = 1e-10
 
-# Quadrature action of multiplication by i on one field mode.
-_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 
 @dataclass(frozen=True)
 class NopaParams:
@@ -127,7 +124,11 @@ def to_quadrature(s) -> np.ndarray:
             deviation=dev,
             worst_index=worst,
         )
-    return np.kron(a.real, np.eye(2)) + np.kron(a.imag, _QUARTER_TURN)
+    out = np.empty((2 * a.shape[0], 2 * a.shape[1]))
+    out[0::2, 0::2] = out[1::2, 1::2] = a.real
+    out[0::2, 1::2] = -a.imag
+    out[1::2, 0::2] = a.imag
+    return out
 
 
 def partition(s_quad) -> Blocks:

@@ -114,7 +114,12 @@ def invert_elimination(m: np.ndarray) -> np.ndarray:
 
 
 def elimination_matrix(coeffs: StaticCoefficients, net: PassiveNetwork) -> np.ndarray:
-    """The matrix I - S22 (I (x) W12) whose inverse closes the static loop."""
+    """The matrix I - S22 (I (x) W12) whose inverse closes the static loop.
+
+    S22 (I (x) W12) applies W12 to each 4-column block of S22, one batched
+    4 x 4 product, without forming the block-diagonal factor.
+    """
     w12, _ = w_blocks(coeffs)
-    n = net.n_nopas
-    return np.eye(4 * n) - net.blocks.s22 @ np.kron(np.eye(n), w12)
+    dim = 4 * net.n_nopas
+    s22_wi = (net.blocks.s22.reshape(dim, net.n_nopas, 4) @ w12).reshape(dim, dim)
+    return np.eye(dim) - s22_wi

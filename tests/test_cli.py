@@ -428,6 +428,16 @@ class TestVerifyCommand:
         for trial in replay["failed_trials"]:
             assert set(trial["failures"]) == {"stability_implies_invertible"}
 
+    def test_negative_trial_count_is_a_config_error(self, tmp_path, capsys):
+        replay = write_json(tmp_path / "replay.json", {"seed": 1, "trials": -2})
+        for argv in (["--seed", "1", "--trials", "-3"], ["--replay", replay]):
+            assert main(["verify", *argv]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error: trials must be nonnegative")
+            assert "passed" not in captured.out
+        assert main(["verify", "--seed", "1", "--trials", "0"]) == EXIT_OK
+        assert "passed: 0" in capsys.readouterr().out
+
     def test_deterministic_output(self, tmp_path):
         blobs = []
         for name in ("v1.txt", "v2.txt"):

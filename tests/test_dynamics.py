@@ -30,6 +30,7 @@ from nopanet.errors import (
 )
 from nopanet.network import GAMMA_R_REF, K_REF
 from nopanet.static_limit import elimination_matrix
+from tests.test_linalg import nearest_match_gap
 from tests.test_network import random_unitary
 
 
@@ -120,6 +121,38 @@ class TestStability:
         net = PassiveNetwork.cfb(2)
         assert stability(NopaParams.from_normalized(0.40, 1.0), net).stable
         assert not stability(NopaParams.from_normalized(0.43, 1.0), net).stable
+
+
+def couples_parities(m):
+    """True when some entry links an even index with an odd one."""
+    return bool(m[0::2, 1::2].any() or m[1::2, 0::2].any())
+
+
+class TestQuadratureSplit:
+    """A real interconnect never mixes q with p, so ``linalg`` factors in halves."""
+
+    @pytest.mark.parametrize("big_k", [0.0, K_REF])
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_chain_matrices_have_no_parity_coupling(self, n, big_k):
+        net = PassiveNetwork.cfb(n)
+        ss = build_closed_loop(NopaParams.from_normalized(0.05, 0.8, big_k), net)
+        assert not couples_parities(ss.a)
+        assert not couples_parities(np.eye(4 * n) - net.blocks.s22)
+        assert not couples_parities(elimination_matrix(static_coefficients(0.05, 0.8, big_k), net))
+
+    def test_complex_network_couples_the_halves(self):
+        net = PassiveNetwork.from_complex(random_unitary(np.random.default_rng(59), 8))
+        assert couples_parities(build_closed_loop(NopaParams.from_normalized(0.05, 1.0), net).a)
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_chain_spectrum_matches_40_digit_eigenvalues(self, n):
+        mp = pytest.importorskip("mpmath")
+        p = NopaParams.from_normalized(0.05, 0.7)
+        net = PassiveNetwork.cfb(n)
+        a = build_closed_loop(p, net).a
+        with mp.workdps(40):
+            exact = [complex(z) for z in mp.eig(mp.matrix(a.tolist()), left=False, right=False)]
+        assert nearest_match_gap(stability(p, net).eigenvalues, exact) <= 1e-14
 
 
 class TestTransfer:

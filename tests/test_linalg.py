@@ -135,3 +135,64 @@ class TestEigenvalues:
             b = np.sort_complex(linalg.eigenvalues(m.T))
             assert np.max(np.abs(a - b)) < 1e-8
 
+
+
+def parity_split(rng, n, dtype=float):
+    """A seeded n x n matrix whose even-odd coupling blocks are exact zeros."""
+    m = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+    if dtype is complex:
+        m = m + 1j * rng.normal(size=(n, n))
+    m[0::2, 1::2] = 0.0
+    m[1::2, 0::2] = 0.0
+    return m
+
+
+def nearest_match_gap(got, ref):
+    """Worst relative distance when each reference value takes its nearest unused match."""
+    pool = list(got)
+    assert len(pool) == len(ref)
+    worst = 0.0
+    for z in ref:
+        k = int(np.argmin([abs(w - z) for w in pool]))
+        worst = max(worst, abs(pool.pop(k) - z) / abs(z))
+    return worst
+
+
+class TestParitySplit:
+    """Matrices with no even-odd coupling are factored as their two halves."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [2, 7, 12, 40])
+    def test_eigenvalues_match_dense_spectrum(self, n, dtype):
+        m = parity_split(np.random.default_rng(43 + n), n, dtype)
+        evs = linalg.eigenvalues(m)
+        assert nearest_match_gap(evs, np.linalg.eigvals(m)) < 1e-13
+        # q half (even indices) first
+        q_evs = np.linalg.eigvals(m[0::2, 0::2])
+        assert np.array_equal(evs[: len(q_evs)], q_evs)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [2, 7, 12, 40])
+    def test_inverse_matches_dense_inverse(self, n, dtype):
+        m = parity_split(np.random.default_rng(47 + n), n, dtype)
+        inv = linalg.inverse(m)
+        dense = np.linalg.inv(m)
+        assert inv.dtype == dense.dtype
+        assert np.max(np.abs(inv - dense)) < 1e-13 * np.max(np.abs(dense))
+        assert not inv[0::2, 1::2].any() and not inv[1::2, 0::2].any()
+
+    @pytest.mark.parametrize("where", [(0, 1), (5, 2)])
+    def test_one_coupling_entry_takes_the_dense_call(self, where):
+        m = parity_split(np.random.default_rng(53), 8)
+        m[where] = 1e-300
+        assert linalg.eigenvalues(m).tobytes() == np.linalg.eigvals(m).tobytes()
+        assert linalg.inverse(m).tobytes() == np.linalg.inv(m).tobytes()
+
+    def test_singular_half_raises(self):
+        m = np.zeros((4, 4))
+        m[0::2, 0::2] = np.eye(2)
+        m[1::2, 1::2] = [[1.0, 2.0], [2.0, 4.0]]
+        with pytest.raises(SingularMatrixError) as err:
+            linalg.inverse(m)
+        assert err.value.rcond == 0.0
+        assert err.value.index is None

@@ -135,7 +135,7 @@ class TestToQuadrature:
         # each complex entry s becomes [[Re s, -Im s], [Im s, Re s]]
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
         rng = np.random.default_rng(41)
-        unitaries = [cfb_topology(n) for n in (1, 2, 5, 12, 39)]
+        unitaries = [cfb_topology(n) for n in (1, 2, 3, 4, 5, 6, 12, 39)]
         unitaries += [random_unitary(rng, dim) for dim in (1, 2, 4, 6, 10, 24)]
         for a in unitaries:
             expected = np.kron(a.real, np.eye(2)) + np.kron(a.imag, rot)
