@@ -122,9 +122,12 @@ def _omega_grid(cfg: dict) -> np.ndarray:
             values = np.geomspace(start, stop, points)
         else:
             raise ConfigError(f"omega_grid scale must be linear|log, got {scale!r}")
+    values = values * scale_factor
+    if values.size == 0 or not np.isfinite(values).all():
+        raise ConfigError("omega grid must hold at least one value, and only finite ones")
     if np.any(np.diff(values) <= 0):
         raise ConfigError("omega grid must be strictly increasing")
-    return values * scale_factor
+    return values
 
 
 def _view_coefficients(view: dict):
@@ -163,14 +166,9 @@ def _write(out, text: str):
 
 
 def _csv(rows: list[dict]) -> str:
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
+    lines = [",".join(rows[0])]
     for row in rows:
-        lines.append(
-            ",".join(
-                v if isinstance(v, str) else _fmt(v) for v in (row[k] for k in header)
-            )
-        )
+        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -355,20 +353,27 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error, not argparse's exit 2
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nopanet",
         description="EPR entanglement of NOPA networks behind passive interconnects",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def common(p, config_required=True, tables=True):
         p.add_argument("--config", required=config_required, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        if tables:
+            p.add_argument("--format", choices=("csv", "json"), default=None)
 
     p = sub.add_parser("stability", help="Hurwitz verdict and spectrum")
-    common(p)
+    common(p, tables=False)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("spectrum", help="squeezing spectrum over a frequency grid")
@@ -384,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="randomized property suites")
-    common(p, config_required=False)
+    common(p, config_required=False, tables=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--replay", default=None, help="replay a recorded failure file")
@@ -393,14 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        code = EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
     except StabilityError as exc:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,9 +22,6 @@ from .errors import (
 from .linalg import eigenvalues, inverse, solve
 from .network import NopaParams, PassiveNetwork
 
-# Step of the Weyl sequence that fills the resolvent's probe column.
-_PROBE_STEP = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -35,18 +31,6 @@ class StateSpace:
     b: np.ndarray  # 4N x (4 + 4N)
     c: np.ndarray  # 4 x 4N
     d: np.ndarray  # 4 x (4 + 4N)
-
-    @cached_property
-    def _resolvent_rhs(self) -> np.ndarray:
-        """[C^T | z]: the right-hand sides ``transfer`` solves (i w I - A)^T against.
-
-        z is a fixed probe column, a Weyl sequence spread over (-1, 1) with
-        no symmetry of the network, so only by accident is it orthogonal to the
-        resolvent's near-null directions, including those C does not see.
-        """
-        dim = self.a.shape[0]
-        probe = 2.0 * np.modf(_PROBE_STEP * np.arange(1, dim + 1))[0] - 1.0
-        return np.column_stack([self.c.T, probe])
 
 
 @dataclass(frozen=True)
@@ -98,7 +82,8 @@ def build_closed_loop(p: NopaParams, net: PassiveNetwork) -> StateSpace:
         ) from exc
     sg = math.sqrt(p.gamma)
     sk = math.sqrt(p.kappa)
-    a = np.kron(np.eye(n), build_a1(p)) - p.gamma * loop @ s22
+    # with L = (I - S22)^{-1}, L S22 = L - I
+    a = np.kron(np.eye(n), build_a1(p)) + p.gamma * (np.eye(4 * n) - loop)
     b = np.hstack([-sg * loop @ s21, -sk * np.eye(4 * n)])
     c = sg * s12 @ loop
     d = np.hstack([s11 + s12 @ loop @ s21, np.zeros((4, 4 * n))])
@@ -121,23 +106,24 @@ def transfer(ss: StateSpace, omega) -> np.ndarray:
     ``omega`` is a scalar, giving one 4 x (4 + 4N) matrix, or a 1-d array,
     giving a stack of them, one per frequency, from one batched solve that
     holds len(omega) complex 4N x 4N matrices.  The resolvent is never formed:
-    (i w I - A)^T X = [C^T | z] is solved and H = X[:, :4]^T B + D; the
-    probe column z (see ``StateSpace._resolvent_rhs``) is there for the
-    condition check of ``linalg.solve``.
+    (i w I - A)^T X = C^T is solved and H = X^T B + D.  A non-finite omega
+    raises ``DimensionError``.
     """
     w = np.asarray(omega, dtype=float)
     if w.ndim > 1:
         raise DimensionError(f"omega must be a scalar or a 1-d array, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise DimensionError("omega must be finite")
     dim = ss.a.shape[0]
     resolvent_t = np.multiply.outer(1j * w, np.eye(dim)) - ss.a.T
     try:
-        x = solve(resolvent_t, ss._resolvent_rhs)
+        x = solve(resolvent_t, ss.c.T)
     except SingularMatrixError as exc:
         at = w if exc.index is None else w[exc.index]
         raise StabilityError(
             f"resolvent singular at omega={float(at)}: system marginally stable ({exc})"
         ) from exc
-    return np.swapaxes(x[..., :4], -1, -2) @ ss.b + ss.d
+    return np.swapaxes(x, -1, -2) @ ss.b + ss.d
 
 
 def scaled_response(r: float, k: float, w: float) -> NopaFrequencyResponse:

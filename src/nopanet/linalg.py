@@ -5,6 +5,7 @@ routines.  Matrices are plain ``numpy.ndarray`` objects; all functions are
 pure and never mutate their arguments.  ``solve`` and ``inverse`` reject a
 system whose reciprocal 1-norm condition number is below ``RCOND_MIN``.  The
 test is scale-free, so it holds for entries of any magnitude and any size.
+``solve`` estimates it with a probe column of its own added to the caller's.
 
 ``inverse`` and ``eigenvalues`` factor a matrix in two halves when it does
 not couple even indices with odd ones: every entry of ``a[0::2, 1::2]`` and
@@ -19,6 +20,9 @@ the halves takes the single dense call.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +91,14 @@ def _check_condition(a: np.ndarray, x: np.ndarray, b: np.ndarray | None = None):
         _raise_singular(a, rcond)
 
 
+@lru_cache(maxsize=16)
+def _probe(n: int) -> np.ndarray:
+    """The probe column of ``solve`` for order n: a golden-ratio Weyl sequence in (-1, 1)."""
+    z = 2.0 * np.modf((math.sqrt(5.0) - 1.0) / 2.0 * np.arange(1, n + 1))[0] - 1.0
+    z.setflags(write=False)
+    return z[:, None]
+
+
 def solve(m, b) -> np.ndarray:
     """Solve m x = b for a square matrix or a stack of them, ``(..., n, n)``.
 
@@ -94,6 +106,9 @@ def solve(m, b) -> np.ndarray:
     broadcasts against the stack.  Raises ``SingularMatrixError`` when a
     matrix of the stack has a condition estimate (see ``_rcond``) beyond
     1 / ``RCOND_MIN``; a system with non-finite entries reads as singular.
+    The estimate also takes a probe column z (``_probe``) solved with b: z has
+    no symmetry of any network, so only by accident is it orthogonal to a
+    near-null direction that b does not see.  Only b's columns are returned.
     """
     a = np.asarray(m)
     rhs = np.asarray(b)
@@ -101,6 +116,11 @@ def solve(m, b) -> np.ndarray:
         raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if rhs.ndim < 2 or rhs.shape[-2] != a.shape[-1]:
         raise DimensionError(f"right-hand side of shape {rhs.shape} does not fit {a.shape}")
+    n, k = rhs.shape[-2:]
+    probe = _probe(n)
+    if rhs.ndim > 2:
+        probe = np.broadcast_to(probe, rhs.shape[:-1] + (1,))
+    rhs = np.concatenate([rhs, probe], axis=-1)
     if rhs.ndim < a.ndim:
         # a leading unit axis keeps b a stack of matrices for every numpy version
         rhs = rhs.reshape((1,) * (a.ndim - rhs.ndim) + rhs.shape)
@@ -109,7 +129,7 @@ def solve(m, b) -> np.ndarray:
     except np.linalg.LinAlgError:
         _raise_singular(a, None)
     _check_condition(a, x, rhs)
-    return x
+    return x[..., :k]
 
 
 def _parity_halves(a: np.ndarray):

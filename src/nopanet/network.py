@@ -85,17 +85,14 @@ def cfb_topology(n: int) -> np.ndarray:
     """
     if n < 1:
         raise DimensionError(f"need at least one NOPA, got n={n}")
-    m1 = np.array([[0.0, 0.0], [0.0, 1.0]])
-    m2 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    dim = 2 * (n + 1)
-    s = np.zeros((dim, dim))
-    # [[O_{2n x 2}, I_n (x) M1], [M1, O_{2 x 2n}]]
-    s[: 2 * n, 2:] += np.kron(np.eye(n), m1)
-    s[2 * n :, :2] += m1
-    # [[O_{2 x 2n}, M2], [I_n (x) M2, O_{2n x 2}]]
-    s[:2, 2 * n :] += m2
-    s[2:, : 2 * n] += np.kron(np.eye(n), m2)
-    return s.astype(complex)
+    # rows: outputs 1, 2, then each NOPA's (a, b) inputs; columns: inputs 1, 2,
+    # then each NOPA's (a, b) outputs
+    s = np.zeros((2 * (n + 1), 2 * (n + 1)), dtype=complex)
+    k = 2 * np.arange(n)
+    s[k + 2, k] = 1.0  # input 1, then each a output, into the next NOPA's a port
+    s[k + 1, k + 3] = 1.0  # each b output into the previous NOPA's b port, the first to output 2
+    s[0, 2 * n] = s[2 * n + 1, 1] = 1.0  # last a output to output 1; input 2 to NOPA N's b port
+    return s
 
 
 def unitarity_deviation(s: np.ndarray):

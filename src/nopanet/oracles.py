@@ -19,13 +19,13 @@ import numpy as np
 from . import dynamics
 from .closed_form import _require_chain, closed_form
 from .errors import DegenerateRecurrenceError, NumericalError, StructureError, WellPosednessError
+from .linalg import inverse
 from .network import NopaParams, PassiveNetwork, to_quadrature
 from .static_limit import (
     R,
     StaticCoefficients,
     StaticTransfer,
     elimination_matrix,
-    invert_elimination,
     static_coefficients,
     static_transfer,
 )
@@ -122,15 +122,15 @@ def determinant_path(coeffs: StaticCoefficients, n: int):
     Evaluates det(T1), det(T2), det(T3) both from the closed recursion
     formulas and by LU on the chain's elimination matrix and its two
     first-row minors; any relative disagreement beyond 1e-9 is an error.
-    An elimination matrix that fails the condition check of
-    ``static_transfer`` raises the same ``WellPosednessError``.  Returns the
-    pair from the matrix route.
+    A chain that ``static_transfer`` rejects raises its
+    ``WellPosednessError``.  Returns the pair from the matrix route.
     """
     _require_chain(coeffs, n)
     rec = recurrences(coeffs, n)
     closed = _closed_determinants(coeffs, n, rec)
-    t3 = t3_matrix(coeffs, n)
-    invert_elimination(t3)
+    net = PassiveNetwork.cfb(n)
+    static_transfer(coeffs, net)
+    t3 = elimination_matrix(coeffs, net)
     assembled = tuple(
         np.linalg.det(t) for t in (_first_row_minor(t3, 2), _first_row_minor(t3, 4 * n - 4), t3)
     )
@@ -152,9 +152,10 @@ def extract_uv(st: StaticTransfer):
     Requires a transfer built from the lossless chain topology: the first
     four columns of H must have the pattern
     [[u, 0, v, 0], [0, u, 0, -v], [v, 0, u, 0], [0, -v, 0, u]].
-    The pair is also recomputed from the elimination-matrix entries
-    (u = h1 p_{4N-3,1}, v = h1 p_{3,1} + h2 p_{1,1}); disagreement between
-    the two readings is a hard error.
+    The pair is also recomputed from the first column of P, the inverse of
+    the chain's elimination matrix, which this function forms itself
+    (u = h1 p_{4N-3,1} + h2 p_{4N-1,1}, v = h1 p_{3,1} + h2 p_{1,1});
+    disagreement between the two readings is a hard error.
     """
     h = st.h_n[:, :4]
     u = h[0, 0]
@@ -174,7 +175,7 @@ def extract_uv(st: StaticTransfer):
         )
     if st.coeffs.big_k != 0 and np.max(np.abs(st.h_n[:, 4:])) > PATTERN_TOL:
         raise StructureError("(u, v) extraction requires the lossless case")
-    p = st.p_n
+    p = inverse(elimination_matrix(st.coeffs, PassiveNetwork.cfb(st.n_nopas)))
     n4 = 4 * st.n_nopas
     u_p = st.coeffs.h1 * p[n4 - 4, 0] + st.coeffs.h2 * p[n4 - 2, 0]
     v_p = st.coeffs.h1 * p[2, 0] + st.coeffs.h2 * p[0, 0]

@@ -5,6 +5,8 @@ In the static limit each NOPA acts as a constant 4x8 quadrature map
 ``dynamics.scaled_response``; eliminating the network loop once, through
 ``elimination_matrix``, gives the 4 x (4 + 4N) transfer of the whole system,
 exact at omega = 0.  It serves every network, lossy and custom ones too.
+The elimination solves for the four output rows only; neither the inverse
+of the elimination matrix nor the block-diagonal I (x) W factors are formed.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import numpy as np
 
 from .dynamics import scaled_response
 from .errors import SingularMatrixError, WellPosednessError
-from .linalg import inverse
+from .linalg import solve
 from .network import PassiveNetwork
 
 R = np.array([[1.0, 0.0], [0.0, -1.0]])
+_W_TILES = np.array([[np.eye(2), R], [R, np.eye(2)]])  # the 2x2 tiles of W12 and W34
 
 
 @dataclass(frozen=True)
@@ -36,10 +39,9 @@ class StaticCoefficients:
 
 @dataclass(frozen=True)
 class StaticTransfer:
-    """Static transfer of the closed loop, with its elimination matrix."""
+    """Static transfer of the closed loop."""
 
     h_n: np.ndarray  # 4 x (4 + 4N)
-    p_n: np.ndarray  # 4N x 4N, inverse of I - S22 (I (x) W12)
     n_nopas: int
     coeffs: StaticCoefficients
 
@@ -69,9 +71,9 @@ def w_blocks(coeffs: StaticCoefficients):
 
     W12 = [[h1 I2, h2 R], [h2 R, h1 I2]]; W34 is the same with (h3, h4).
     """
-    c, i2 = coeffs, np.eye(2)
-    w12 = np.block([[c.h1 * i2, c.h2 * R], [c.h2 * R, c.h1 * i2]])
-    w34 = np.block([[c.h3 * i2, c.h4 * R], [c.h4 * R, c.h3 * i2]])
+    c = coeffs
+    scalars = np.array([[[c.h1, c.h2], [c.h2, c.h1]], [[c.h3, c.h4], [c.h4, c.h3]]])
+    w12, w34 = (scalars[..., None, None] * _W_TILES).swapaxes(2, 3).reshape(2, 4, 4)
     return w12, w34
 
 
@@ -84,42 +86,31 @@ def single_nopa_transfer(coeffs: StaticCoefficients) -> np.ndarray:
 def static_transfer(coeffs: StaticCoefficients, net: PassiveNetwork) -> StaticTransfer:
     """Static transfer of the N-NOPA loop behind an arbitrary passive network.
 
-    H = (S11 + S12 Wi P S21) [I 0] + (S12 + S12 Wi P S22) Wl [0 I]
-    with Wi = I (x) W12, Wl = I (x) W34 and P the inverse of
-    ``elimination_matrix``, I - S22 Wi.
-    The loss columns are always present; they vanish when K = 0.
+    H = [S11 + Y S21 | (S12 + Y S22) Wl] with Y = S12 Wi E^-1, Wi = I (x) W12,
+    Wl = I (x) W34 and E = I - S22 Wi the ``elimination_matrix``.  One solve
+    of E^T Y^T = (S12 Wi)^T gives Y; a singular E is an ill-posed loop
+    (``WellPosednessError``).  The loss columns vanish when K = 0.
     """
-    n = net.n_nopas
     s11, s12, s21, s22 = net.blocks
     w12, w34 = w_blocks(coeffs)
-    wi = np.kron(np.eye(n), w12)
-    wl = np.kron(np.eye(n), w34)
-    p_n = invert_elimination(elimination_matrix(coeffs, net))
-    s12_wi_p = s12 @ wi @ p_n
-    direct = s11 + s12_wi_p @ s21
-    loss = (s12 + s12_wi_p @ s22) @ wl
-    h_n = np.hstack([direct, loss])
-    return StaticTransfer(h_n=h_n, p_n=p_n, n_nopas=n, coeffs=coeffs)
-
-
-def invert_elimination(m: np.ndarray) -> np.ndarray:
-    """Inverse of an elimination matrix; a singular one is an ill-posed loop."""
     try:
-        return inverse(m)
+        y = solve(elimination_matrix(coeffs, net).T, _blockwise(s12, w12).T).T
     except SingularMatrixError as exc:
         raise WellPosednessError(
             "static loop elimination is singular; the finite-bandwidth system "
             f"is unstable or marginally stable ({exc})"
         ) from exc
+    h_n = np.hstack([s11 + y @ s21, _blockwise(s12 + y @ s22, w34)])
+    return StaticTransfer(h_n=h_n, n_nopas=net.n_nopas, coeffs=coeffs)
+
+
+def _blockwise(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """m (I (x) w) as one batched product of each 4-column block of m with the 4 x 4 w."""
+    rows, dim = m.shape
+    return (m.reshape(rows, dim // 4, 4) @ w).reshape(rows, dim)
 
 
 def elimination_matrix(coeffs: StaticCoefficients, net: PassiveNetwork) -> np.ndarray:
-    """The matrix I - S22 (I (x) W12) whose inverse closes the static loop.
-
-    S22 (I (x) W12) applies W12 to each 4-column block of S22, one batched
-    4 x 4 product, without forming the block-diagonal factor.
-    """
+    """The matrix I - S22 (I (x) W12) whose inverse closes the static loop."""
     w12, _ = w_blocks(coeffs)
-    dim = 4 * net.n_nopas
-    s22_wi = (net.blocks.s22.reshape(dim, net.n_nopas, 4) @ w12).reshape(dim, dim)
-    return np.eye(dim) - s22_wi
+    return np.eye(4 * net.n_nopas) - _blockwise(net.blocks.s22, w12)

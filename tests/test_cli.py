@@ -240,6 +240,23 @@ class TestSpectrumCommand:
         cfg = self.spectrum_cfg(tmp_path, omega_grid={"values": [1.0, 0.5]})
         assert main(["spectrum", "--config", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "grid", [{"values": []}, {"start": 0.0, "stop": 1e8, "points": 0}]
+    )
+    def test_empty_grid_rejected(self, tmp_path, capsys, grid):
+        cfg = self.spectrum_cfg(tmp_path, omega_grid=grid)
+        assert main(["spectrum", "--config", cfg]) == EXIT_CONFIG
+        assert "omega grid must hold at least one value" in capsys.readouterr().err
+
+    def test_non_finite_grid_rejected(self, tmp_path, capsys):
+        # Python's json reads NaN; the grid must not pass for an unstable system
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(
+            '{"params": {"x": 0.1, "y": 1.0}, "n_nopas": 2, "omega_grid": {"values": [0, NaN]}}'
+        )
+        assert main(["spectrum", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "only finite ones" in capsys.readouterr().err
+
 
 class TestTheoremCommand:
     def theorem_cfg(self, tmp_path, x=0.1, n=2, **extra):
@@ -488,6 +505,41 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "'seed'" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stability"],
+            ["bogus"],
+            ["verify", "--trials", "abc"],
+            ["stability", "--config", "cfg.json", "--format", "csv"],
+            ["verify", "--format", "json"],
+        ],
+    )
+    def test_usage_error_is_a_config_error(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: nopanet")
+        assert "config error: " in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["stability", "--help"])
+        assert done.value.code == EXIT_OK
+        assert "--format" not in capsys.readouterr().out
+
+    def test_console_run_exits_with_the_code(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "nopanet.cli", "stability"],
+            env=dict(os.environ, PYTHONPATH=str(Path(nopanet.__file__).parents[1])),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == EXIT_CONFIG
+        assert "required: --config" in done.stderr
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

@@ -244,6 +244,13 @@ class TestBatchedTransfer:
         with pytest.raises(DimensionError):
             transfer(ss, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, [0.0, math.nan], [0.0, -math.inf]])
+    def test_rejects_non_finite_frequency(self, omega):
+        # a bad input, not a singular resolvent: no StabilityError
+        ss = build_closed_loop(NopaParams.from_normalized(0.1, 1.0), PassiveNetwork.cfb(2))
+        with pytest.raises(DimensionError):
+            transfer(ss, omega)
+
 
 def chain(n, x, y=1.0):
     p = NopaParams.from_normalized(x, y)

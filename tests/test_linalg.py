@@ -80,6 +80,17 @@ class TestSolve:
                 linalg.solve(m, np.eye(n))
             assert err.value.rcond == pytest.approx(1.0 / np.linalg.cond(m, 1), rel=1e-6)
 
+    def test_singular_direction_outside_the_rhs_raises(self):
+        # b = e1 never excites the near-null direction e2; the probe column does
+        m = np.diag([1.0, 1e-20])
+        with pytest.raises(SingularMatrixError):
+            linalg.solve(m, np.array([[1.0], [0.0]]))
+
+    def test_returns_only_the_callers_columns(self):
+        m = np.array([[2.0, 1.0], [1.0, 3.0]])
+        assert linalg.solve(m, np.eye(2)).shape == (2, 2)
+        assert linalg.solve(np.stack([m, m]), np.ones((2, 2, 1))).shape == (2, 2, 1)
+
     def test_reports_worst_matrix_of_stack(self):
         rng = np.random.default_rng(31)
         a = np.stack([with_condition(rng, 5, c) for c in (10.0, 1e17, 100.0)])

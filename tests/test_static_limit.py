@@ -16,7 +16,29 @@ from nopanet import (
     static_transfer,
 )
 from nopanet.errors import PoleError, StructureError, WellPosednessError
+from nopanet.linalg import inverse
+from nopanet.network import K_REF
 from nopanet.static_limit import R, elimination_matrix, w_blocks
+from tests.test_network import random_unitary
+
+
+def oracle_p(coeffs, net):
+    """P_N, the full inverse of the elimination matrix."""
+    return inverse(elimination_matrix(coeffs, net))
+
+
+def oracle_h(coeffs, net):
+    """The static transfer from P_N and the dense I (x) W factors, term by term."""
+    n = net.n_nopas
+    s11, s12, s21, s22 = net.blocks
+    w12, w34 = w_blocks(coeffs)
+    wi, wl = np.kron(np.eye(n), w12), np.kron(np.eye(n), w34)
+    s12_wi_p = s12 @ wi @ oracle_p(coeffs, net)
+    return np.hstack([s11 + s12_wi_p @ s21, (s12 + s12_wi_p @ s22) @ wl])
+
+
+def relative_gap(h, ref):
+    return np.max(np.abs(h - ref)) / np.max(np.abs(ref))
 
 
 class TestStaticCoefficients:
@@ -76,9 +98,24 @@ class TestStaticTransfer:
     def test_elimination_residual(self):
         c = static_coefficients(0.2, 1.0)
         net = PassiveNetwork.cfb(4)
-        st = static_transfer(c, net)
         q = elimination_matrix(c, net)
-        assert np.max(np.abs(st.p_n @ q - np.eye(16))) < 1e-10
+        assert np.max(np.abs(oracle_p(c, net) @ q - np.eye(16))) < 1e-10
+
+    @pytest.mark.parametrize("big_k", [0.0, K_REF])
+    @pytest.mark.parametrize("n, x", [(2, 0.1), (4, 0.2), (10, 0.05), (64, 0.004)])
+    def test_chain_matches_inverse_route(self, n, x, big_k):
+        c = static_coefficients(x, 1.0, big_k)
+        net = PassiveNetwork.cfb(n)
+        assert relative_gap(static_transfer(c, net).h_n, oracle_h(c, net)) < 1e-13
+
+    def test_custom_networks_match_inverse_route(self):
+        rng = np.random.default_rng(71)
+        for _ in range(12):
+            n = int(rng.integers(1, 7))
+            net = PassiveNetwork.from_complex(random_unitary(rng, 2 * (n + 1)))
+            x, big_k = float(rng.uniform(0.01, 0.5)), float(rng.choice([0.0, K_REF]))
+            c = static_coefficients(x, 1.0, big_k)
+            assert relative_gap(static_transfer(c, net).h_n, oracle_h(c, net)) < 1e-13
 
     def test_loss_columns_present_and_populated(self):
         c = static_coefficients(0.2, 1.0, big_k=0.05)
@@ -174,13 +211,11 @@ class TestExtractUv:
 
     def test_elimination_corner_entries(self):
         for n in (2, 3, 4, 6):
-            st = static_transfer(static_coefficients(0.1, 1.0), PassiveNetwork.cfb(n))
-            assert st.p_n[0, 0] == pytest.approx(1.0, abs=1e-12)
-            assert st.p_n[4 * n - 2, 0] == pytest.approx(0.0, abs=1e-12)
+            p_n = oracle_p(static_coefficients(0.1, 1.0), PassiveNetwork.cfb(n))
+            assert p_n[0, 0] == pytest.approx(1.0, abs=1e-12)
+            assert p_n[4 * n - 2, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_non_chain_topology_rejected(self):
-        from tests.test_network import random_unitary
-
         rng = np.random.default_rng(61)
         net = PassiveNetwork.from_complex(random_unitary(rng, 6))
         st = static_transfer(static_coefficients(0.05, 1.0), net)
