@@ -102,17 +102,30 @@ def _omega_grid(cfg: dict) -> np.ndarray:
     g = cfg.get("omega_grid")
     if g is None:
         raise ConfigError("config must contain 'omega_grid'")
+    if not isinstance(g, dict):
+        raise ConfigError(f"omega_grid must be an object, got {type(g).__name__}")
     unit = str(g.get("unit", "rad/s")).lower()
     if unit not in ("rad/s", "hz"):
         raise ConfigError(f"omega unit must be 'rad/s' or 'hz', got {unit!r}")
     scale_factor = 2.0 * math.pi if unit == "hz" else 1.0
     if "values" in g:
-        values = np.asarray([float(v) for v in g["values"]])
+        if not isinstance(g["values"], list):
+            raise ConfigError(f"omega_grid values must be a list, got {type(g['values']).__name__}")
+        try:
+            values = np.asarray([float(v) for v in g["values"]])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed omega_grid values: {exc}") from exc
     else:
         try:
-            start, stop, points = float(g["start"]), float(g["stop"]), int(g["points"])
-        except (KeyError, ValueError) as exc:
+            start, stop, points = float(g["start"]), float(g["stop"]), float(g["points"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed omega_grid: {exc}") from exc
+        # 64, 64.0 and "64" all count 64 points; 2.5 and true count nothing
+        if isinstance(g["points"], bool) or not points.is_integer() or points < 0:
+            raise ConfigError(
+                f"omega_grid points must be a nonnegative whole number, got {g['points']!r}"
+            )
+        points = int(points)
         scale = g.get("scale", "linear")
         if scale == "linear":
             values = np.linspace(start, stop, points)

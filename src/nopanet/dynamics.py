@@ -115,7 +115,10 @@ def transfer(ss: StateSpace, omega) -> np.ndarray:
     if not np.isfinite(w).all():
         raise DimensionError("omega must be finite")
     dim = ss.a.shape[0]
-    resolvent_t = np.multiply.outer(1j * w, np.eye(dim)) - ss.a.T
+    # i w I - A^T built in place: one complex stack, no identity stack beside it
+    resolvent_t = np.empty(w.shape + (dim, dim), dtype=complex)
+    np.negative(ss.a.T, out=resolvent_t)
+    resolvent_t.reshape(w.shape + (dim * dim,))[..., :: dim + 1] += 1j * w[..., None]
     try:
         x = solve(resolvent_t, ss.c.T)
     except SingularMatrixError as exc:

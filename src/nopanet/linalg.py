@@ -7,16 +7,29 @@ system whose reciprocal 1-norm condition number is below ``RCOND_MIN``.  The
 test is scale-free, so it holds for entries of any magnitude and any size.
 ``solve`` estimates it with a probe column of its own added to the caller's.
 
-``inverse`` and ``eigenvalues`` factor a matrix in two halves when it does
-not couple even indices with odd ones: every entry of ``a[0::2, 1::2]`` and
-``a[1::2, 0::2]`` is an exact zero.  Such a matrix is permutation-similar to
-diag(a[0::2, 0::2], a[1::2, 1::2]), so its inverse and spectrum are those of
-the two halves, and the split is exact, not an approximation.  In the
+``inverse`` and ``eigenvalues`` factor a matrix in two halves when it
+does not couple even indices with odd ones: every entry of
+``a[0::2, 1::2]`` and ``a[1::2, 0::2]`` is an exact zero.  Such a matrix is
+permutation-similar to diag(q, p) with q = a[0::2, 0::2] and
+p = a[1::2, 1::2], so its inverse, spectrum and solutions are those of the
+two halves, and the split is exact, not an approximation.  In the
 interleaved (q, p) quadrature order every real interconnect (Im S = 0) with
-the real NOPA pump gives such matrices -- the closed-loop A, I - S22 and the
-static elimination matrix -- because q never mixes with p.  Two LAPACK calls
-of order n/2 cost about a quarter of one of order n.  A matrix that couples
-the halves takes the single dense call.
+the real NOPA pump gives such matrices -- the closed-loop A, I - S22, the
+static elimination matrix and the resolvent i w I - A -- because q never
+mixes with p.  Two LAPACK calls of order n/2 cost about a quarter of one of
+order n.  A matrix that couples the halves takes the single dense call.
+
+When, moreover, p = D q D with D = diag(1, -1, 1, ...), compared entry by
+entry with no tolerance, the odd half is the even half with the signs of
+its odd rows and columns flipped.  Then only q is factored: the spectrum of
+p is that of q, p^-1 = D q^-1 D, and p x = b is q (D x) = D b.  Sign flips
+are exact, so this is no approximation either.  The paper's chain has this
+mirror: the a outputs cascade forward and the b outputs backward, no port
+mixes a with b, and the pump term ab + a^dag b^dag is unchanged by
+a -> i a, b -> -i b, which turns the q half into the p half with the b
+signs flipped.  A network that mixes the a and b rails keeps two calls in
+``inverse`` and ``eigenvalues``, and one dense call in ``solve``, which
+splits only a mirrored system of at least ``_SPLIT_MIN_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -31,6 +44,12 @@ from .errors import DimensionError, NumericalError, SingularMatrixError
 # A system whose reciprocal 1-norm condition estimate is below this counts as
 # singular: its solution has lost every significant digit.
 RCOND_MIN = 1e-14
+
+# ``solve`` factors only the even half of a mirrored system from this many
+# entries (a single matrix of order 64, or 64 of order 8): below it one LAPACK
+# call costs less than the parity checks and sign flips (crossover between
+# orders 44 and 64 for one matrix, measured at one BLAS thread).
+_SPLIT_MIN_ENTRIES = 64 * 64
 
 
 def as_matrix(m) -> np.ndarray:
@@ -109,6 +128,12 @@ def solve(m, b) -> np.ndarray:
     The estimate also takes a probe column z (``_probe``) solved with b: z has
     no symmetry of any network, so only by accident is it orthogonal to a
     near-null direction that b does not see.  Only b's columns are returned.
+
+    A system of at least ``_SPLIT_MIN_ENTRIES`` entries with no even-odd
+    coupling whose odd half mirrors the even one (see the module docstring)
+    makes one solve of the even half against [b_even | D b_odd] for both
+    halves, with x_odd = D times its second block.  Any other system takes
+    the one dense call.  The condition check runs on the whole system.
     """
     a = np.asarray(m)
     rhs = np.asarray(b)
@@ -124,19 +149,55 @@ def solve(m, b) -> np.ndarray:
     if rhs.ndim < a.ndim:
         # a leading unit axis keeps b a stack of matrices for every numpy version
         rhs = rhs.reshape((1,) * (a.ndim - rhs.ndim) + rhs.shape)
+    halves = _parity_halves(a) if a.size >= _SPLIT_MIN_ENTRIES else None
     try:
-        x = np.linalg.solve(a, rhs)
+        if halves is not None and halves[2]:
+            x = _solve_mirrored(halves[0], rhs)
+        else:
+            x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         _raise_singular(a, None)
     _check_condition(a, x, rhs)
     return x[..., :k]
 
 
+def _solve_mirrored(q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve diag(q, D q D) x = rhs, with the rows of x and rhs in parity order."""
+    # rows (2i, 2i + 1) of rhs side by side are row i of [b_even | b_odd]
+    batch, (m, k) = rhs.shape[:-2], (q.shape[-1], rhs.shape[-1])
+    signs = _d_signs(m)[1]  # D on the odd block
+    both = rhs.reshape(batch + (m, 2, k)) * signs
+    y = np.linalg.solve(q, both.reshape(batch + (m, 2 * k)))
+    return (y.reshape(y.shape[:-1] + (2, k)) * signs).reshape(y.shape[:-2] + (2 * m, k))
+
+
 def _parity_halves(a: np.ndarray):
-    """The even- and odd-index diagonal blocks of ``a`` if they are all it holds, else None."""
-    if a.shape[0] < 2 or a[0::2, 1::2].any() or a[1::2, 0::2].any():
+    """The even- and odd-index diagonal blocks of ``a`` if they are all it holds, else None.
+
+    A stack qualifies only if every matrix does.  The third item says
+    whether the odd block p mirrors the even block q, p = D q D, in every
+    matrix: entries whose row and column have the same parity equal, the
+    others opposite.  One exact comparison with p times the sign pattern
+    costs a quarter of four sub-block ones at the orders of a short chain.
+    """
+    if a.shape[-1] < 2 or a[..., 0::2, 1::2].any() or a[..., 1::2, 0::2].any():
         return None
-    return a[0::2, 0::2], a[1::2, 1::2]
+    q, p = a[..., 0::2, 0::2], a[..., 1::2, 1::2]
+    return q, p, q.shape == p.shape and bool((q == p * _d_signs(q.shape[-1])[0]).all())
+
+
+@lru_cache(maxsize=16)
+def _d_signs(m: int):
+    """Sign patterns of D = diag(1, -1, 1, ...) of order m.
+
+    (-1)^(i + j), so that D x D is x times it, and rows [1, (-1)^i] shaped
+    (m, 2, 1), which apply D to the second member of each interleaved row pair.
+    """
+    d = 1.0 - 2.0 * (np.arange(m) % 2)
+    both = np.multiply.outer(d, d), np.stack([np.ones(m), d], axis=-1)[..., None]
+    for signs in both:
+        signs.setflags(write=False)
+    return both
 
 
 def inverse(m) -> np.ndarray:
@@ -144,8 +205,10 @@ def inverse(m) -> np.ndarray:
 
     The inverse gives the exact 1-norm condition number, so the check costs
     two column-sum passes and no extra factorisation.  A matrix with no
-    even-odd coupling is inverted as its two parity halves (see the module
-    docstring); the condition check still runs on the whole matrix.
+    even-odd coupling is inverted as its two parity halves, and a mirrored
+    odd half (p = D q D) as D q^-1 D, which flips signs only and so is exact
+    (see the module docstring); the condition check still runs on the whole
+    matrix.
     """
     a = _require_square(as_matrix(m))
     halves = _parity_halves(a)
@@ -153,10 +216,11 @@ def inverse(m) -> np.ndarray:
         if halves is None:
             x = np.linalg.inv(a)
         else:
-            q_inv, p_inv = (np.linalg.inv(h) for h in halves)
+            q, p, mirrored = halves
+            q_inv = np.linalg.inv(q)
             x = np.zeros(a.shape, dtype=q_inv.dtype)
             x[0::2, 0::2] = q_inv
-            x[1::2, 1::2] = p_inv
+            x[1::2, 1::2] = q_inv * _d_signs(len(q))[0] if mirrored else np.linalg.inv(p)
     except np.linalg.LinAlgError:
         _raise_singular(a, None)
     _check_condition(a, x)
@@ -168,13 +232,17 @@ def eigenvalues(m) -> np.ndarray:
 
     A matrix with no even-odd coupling (see the module docstring) returns the
     spectrum of its even-index half followed by that of its odd-index half:
-    in quadrature order, the q half first.
+    in quadrature order, the q half first.  A mirrored odd half, p = D q D,
+    is similar to the even half, so the even half's spectrum is computed once
+    and returned twice.
     """
     a = _require_square(as_matrix(m))
     halves = _parity_halves(a)
     try:
         if halves is None:
             return np.linalg.eigvals(a)
-        return np.concatenate([np.linalg.eigvals(h) for h in halves])
+        q, p, mirrored = halves
+        q_evs = np.linalg.eigvals(q)
+        return np.concatenate([q_evs, q_evs if mirrored else np.linalg.eigvals(p)])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc

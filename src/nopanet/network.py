@@ -96,9 +96,18 @@ def cfb_topology(n: int) -> np.ndarray:
 
 
 def unitarity_deviation(s: np.ndarray):
-    """Max-entry deviation of S*S from the identity, and its location."""
+    """Max-entry deviation of S*S from the identity, and its location.
+
+    A real S (such as the 0/1 permutation of the chain) takes the real
+    product S^T S, a quarter of the complex one's flops.
+    """
     a = as_matrix(s)
-    residual = np.abs(a.conj().T @ a - np.eye(a.shape[0]))
+    if a.imag.any():
+        gram = a.conj().T @ a
+    else:
+        re = np.ascontiguousarray(a.real)  # a strided view would miss BLAS
+        gram = re.T @ re
+    residual = np.abs(gram - np.eye(a.shape[0]))
     worst = np.unravel_index(np.argmax(residual), residual.shape)
     return residual[worst], worst
 

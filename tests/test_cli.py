@@ -248,6 +248,30 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg]) == EXIT_CONFIG
         assert "omega grid must hold at least one value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [0, 1],
+            "abc",
+            {"values": 5},
+            {"start": 0, "stop": 1, "points": 2.5},
+            {"start": 0, "stop": 1, "points": True},
+            {"start": 0, "stop": 1, "points": -2},
+        ],
+    )
+    def test_malformed_grid_is_a_config_error(self, tmp_path, capsys, grid):
+        cfg = self.spectrum_cfg(tmp_path, n_nopas=3, omega_grid=grid)
+        assert main(["spectrum", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("points", [4, 4.0, "4"])
+    def test_integral_points_of_any_type_count(self, tmp_path, points):
+        grid = {"start": 0.1, "stop": 1.0, "points": points}
+        cfg = self.spectrum_cfg(tmp_path, n_nopas=3, omega_grid=grid)
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().strip().splitlines()) == 1 + 4
+
     def test_non_finite_grid_rejected(self, tmp_path, capsys):
         # Python's json reads NaN; the grid must not pass for an unstable system
         cfg = tmp_path / "nan.json"

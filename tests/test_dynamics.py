@@ -12,7 +12,9 @@ from nopanet import (
     PassiveNetwork,
     build_a1,
     build_closed_loop,
+    dynamics,
     eigenvalues,
+    linalg,
     nopa_response,
     single_nopa_transfer,
     squeezing_spectrum,
@@ -143,6 +145,40 @@ class TestQuadratureSplit:
     def test_complex_network_couples_the_halves(self):
         net = PassiveNetwork.from_complex(random_unitary(np.random.default_rng(59), 8))
         assert couples_parities(build_closed_loop(NopaParams.from_normalized(0.05, 1.0), net).a)
+
+    @pytest.mark.parametrize("big_k", [0.0, K_REF])
+    @pytest.mark.parametrize("n", [2, 9, 64])
+    def test_chain_matrices_mirror(self, n, big_k, monkeypatch):
+        # a -> i a, b -> -i b keeps the chain: the p half is the q half with its b signs flipped
+        net = PassiveNetwork.cfb(n)
+        x = 0.5 * math.tan(math.pi / (4 * n))
+        p = NopaParams.from_normalized(x, 1.0, big_k)
+        ss = build_closed_loop(p, net)
+        solved = []
+        monkeypatch.setattr(dynamics, "solve", lambda m, b: solved.append(m) or linalg.solve(m, b))
+        omegas = np.array([0.0, 0.3, 2.0]) * p.gamma
+        transfer(ss, omegas)
+        (resolvent_t,) = solved
+        assert np.array_equal(resolvent_t, np.multiply.outer(1j * omegas, np.eye(4 * n)) - ss.a.T)
+        matrices = (
+            ss.a,
+            np.eye(4 * n) - net.blocks.s22,
+            elimination_matrix(static_coefficients(x, 1.0, big_k), net).T,
+            resolvent_t,
+        )
+        for m in matrices:
+            assert linalg._parity_halves(m)[2]
+        evs = stability(p, net).eigenvalues
+        assert np.array_equal(evs[: 2 * n], evs[2 * n :])
+
+    def test_rail_mixing_and_complex_networks_do_not_mirror(self):
+        rng = np.random.default_rng(101)
+        orthogonal, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        p = NopaParams.from_normalized(0.05, 1.0, K_REF)
+        a = build_closed_loop(p, PassiveNetwork.from_complex(orthogonal)).a
+        assert not linalg._parity_halves(a)[2]
+        net = PassiveNetwork.from_complex(random_unitary(rng, 8))
+        assert linalg._parity_halves(build_closed_loop(p, net).a) is None
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_chain_spectrum_matches_40_digit_eigenvalues(self, n):

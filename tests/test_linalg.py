@@ -192,12 +192,40 @@ class TestParitySplit:
         assert np.max(np.abs(inv - dense)) < 1e-13 * np.max(np.abs(dense))
         assert not inv[0::2, 1::2].any() and not inv[1::2, 0::2].any()
 
+    @pytest.mark.usefixtures("split_every_system")
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [2, 7, 12, 40])
+    def test_solve_without_mirror_takes_the_dense_call(self, n, dtype, mirrored_solves):
+        rng = np.random.default_rng(49 + n)
+        m = np.stack([parity_split(rng, n, dtype) for _ in range(3)])
+        b = rng.normal(size=(n, 2))
+        assert linalg.solve(m, b).tobytes() == dense_solve(m, b).tobytes()
+        assert not mirrored_solves
+
+    @pytest.mark.usefixtures("split_every_system")
     @pytest.mark.parametrize("where", [(0, 1), (5, 2)])
-    def test_one_coupling_entry_takes_the_dense_call(self, where):
+    def test_one_coupling_entry_takes_the_dense_call(self, where, mirrored_solves):
         m = parity_split(np.random.default_rng(53), 8)
         m[where] = 1e-300
         assert linalg.eigenvalues(m).tobytes() == np.linalg.eigvals(m).tobytes()
         assert linalg.inverse(m).tobytes() == np.linalg.inv(m).tobytes()
+        # a mirrored system that one coupling entry spoils
+        rng = np.random.default_rng(54)
+        m = mirrored(rng, 8)
+        m[where] = 1e-300
+        b = rng.normal(size=(8, 3))
+        assert linalg.solve(m, b).tobytes() == dense_solve(m, b).tobytes()
+        assert not mirrored_solves
+
+    @pytest.mark.usefixtures("split_every_system")
+    def test_one_coupled_member_of_a_stack_takes_the_dense_call(self, mirrored_solves):
+        rng = np.random.default_rng(55)
+        m = mirrored(rng, 8, complex, (4,))
+        m[2, 3, 0] = 1e-300
+        b = rng.normal(size=(8, 2))
+        assert linalg._parity_halves(m) is None
+        assert linalg.solve(m, b).tobytes() == dense_solve(m, b).tobytes()
+        assert not mirrored_solves
 
     def test_singular_half_raises(self):
         m = np.zeros((4, 4))
@@ -207,3 +235,159 @@ class TestParitySplit:
             linalg.inverse(m)
         assert err.value.rcond == 0.0
         assert err.value.index is None
+
+
+def mirrored(rng, n, dtype=float, stack=()):
+    """A seeded matrix, or stack, with no even-odd coupling and odd half D (even half) D."""
+    even = rng.normal(size=stack + (n // 2, n // 2)) + 2.0 * np.eye(n // 2)
+    if dtype is complex:
+        even = even + 1j * rng.normal(size=even.shape)
+    signs = (-1.0) ** np.add.outer(np.arange(n // 2), np.arange(n // 2))
+    m = np.zeros(stack + (n, n), dtype=dtype)
+    m[..., 0::2, 0::2] = even
+    m[..., 1::2, 1::2] = signs * even
+    return m
+
+
+def two_half_eigenvalues(m):
+    return np.concatenate([np.linalg.eigvals(m[0::2, 0::2]), np.linalg.eigvals(m[1::2, 1::2])])
+
+
+def two_half_inverse(m):
+    q_inv, p_inv = np.linalg.inv(m[0::2, 0::2]), np.linalg.inv(m[1::2, 1::2])
+    x = np.zeros(m.shape, dtype=q_inv.dtype)
+    x[0::2, 0::2], x[1::2, 1::2] = q_inv, p_inv
+    return x
+
+
+def dense_solve(m, b):
+    """One LAPACK call on the whole system against [b | probe], as ``solve`` makes it."""
+    k = b.shape[-1]
+    probe = np.broadcast_to(linalg._probe(m.shape[-1]), b.shape[:-1] + (1,))
+    rhs = np.concatenate([b, probe], axis=-1)
+    if rhs.ndim < m.ndim:
+        rhs = rhs.reshape((1,) * (m.ndim - rhs.ndim) + rhs.shape)
+    return np.linalg.solve(m, rhs)[..., :k]
+
+
+def nudge(m, where):
+    """m with the real part of one entry moved by one ulp."""
+    m = m.copy()
+    m[where] += np.nextafter(m[where].real, np.inf) - m[where].real
+    return m
+
+
+@pytest.fixture
+def mirrored_solves(monkeypatch):
+    """The calls ``solve`` makes to its mirrored path, recorded as they happen."""
+    calls = []
+    solve_mirrored = linalg._solve_mirrored
+    monkeypatch.setattr(linalg, "_solve_mirrored", lambda *a: calls.append(1) or solve_mirrored(*a))
+    return calls
+
+
+@pytest.fixture
+def split_every_system(monkeypatch):
+    """Let ``solve`` split systems of any size, so small orders test the split."""
+    monkeypatch.setattr(linalg, "_SPLIT_MIN_ENTRIES", 0)
+
+
+@pytest.mark.usefixtures("split_every_system")
+class TestMirror:
+    """An odd half equal to D (even half) D is not factored a second time."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [2, 8, 40])
+    def test_eigenvalues_match_two_halves_and_dense(self, n, dtype):
+        m = mirrored(np.random.default_rng(61 + n), n, dtype)
+        evs = linalg.eigenvalues(m)
+        assert nearest_match_gap(evs, np.linalg.eigvals(m)) < 1e-13
+        assert nearest_match_gap(evs, two_half_eigenvalues(m)) < 1e-13
+        assert np.array_equal(evs[: n // 2], np.linalg.eigvals(m[0::2, 0::2]))
+        assert np.array_equal(evs[: n // 2], evs[n // 2 :])
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [2, 8, 40])
+    def test_inverse_matches_two_halves_and_dense(self, n, dtype):
+        m = mirrored(np.random.default_rng(67 + n), n, dtype)
+        inv = linalg.inverse(m)
+        for ref in (np.linalg.inv(m), two_half_inverse(m)):
+            assert inv.dtype == ref.dtype
+            assert np.max(np.abs(inv - ref)) < 1e-13 * np.max(np.abs(ref))
+        assert not inv[0::2, 1::2].any() and not inv[1::2, 0::2].any()
+
+    @pytest.mark.parametrize("stack", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [2, 8, 40])
+    def test_solve_matches_dense(self, n, dtype, stack):
+        rng = np.random.default_rng(71 + n)
+        m = mirrored(rng, n, dtype, stack)
+        # b broadcasts against the stack: one set of right-hand sides for every matrix
+        for b in (rng.normal(size=(n, 3)), rng.normal(size=stack + (n, 2))):
+            x = linalg.solve(m, b)
+            dense = np.linalg.solve(m, np.broadcast_to(b, stack + b.shape[-2:]))
+            assert x.shape == dense.shape
+            assert np.max(np.abs(x - dense)) < 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("where", [(0, 2), (1, 1), (3, 1), (5, 7)])
+    def test_one_ulp_takes_the_unmirrored_calls(self, where, mirrored_solves):
+        rng = np.random.default_rng(79)
+        m = nudge(mirrored(rng, 8), where)
+        b = rng.normal(size=(8, 3))
+        assert not linalg._parity_halves(m)[2]
+        assert linalg.eigenvalues(m).tobytes() == two_half_eigenvalues(m).tobytes()
+        assert linalg.inverse(m).tobytes() == two_half_inverse(m).tobytes()
+        assert linalg.solve(m, b).tobytes() == dense_solve(m, b).tobytes()
+        assert not mirrored_solves
+
+    def test_one_member_of_a_stack_breaks_the_mirror(self, mirrored_solves):
+        rng = np.random.default_rng(83)
+        m = mirrored(rng, 8, complex, (4,))
+        m[2] = nudge(m[2], (3, 3))
+        b = rng.normal(size=(8, 2))
+        assert not linalg._parity_halves(m)[2]
+        assert linalg._parity_halves(m[[0, 1, 3]])[2]
+        assert linalg.solve(m, b).tobytes() == dense_solve(m, b).tobytes()
+        assert not mirrored_solves
+
+    def test_odd_order_never_mirrors(self):
+        m = parity_split(np.random.default_rng(89), 7)
+        assert not linalg._parity_halves(m)[2]
+
+    def test_singular_half_raises(self):
+        m = mirrored(np.random.default_rng(97), 4)
+        m[0::2, 0::2] = [[1.0, 2.0], [2.0, 4.0]]
+        m[1::2, 1::2] = [[1.0, -2.0], [-2.0, 4.0]]
+        assert linalg._parity_halves(m)[2]
+        with pytest.raises(SingularMatrixError) as err:
+            linalg.inverse(m)
+        assert err.value.rcond == 0.0
+        with pytest.raises(SingularMatrixError):
+            linalg.solve(m, np.eye(4))
+        with pytest.raises(SingularMatrixError) as err:
+            linalg.solve(np.stack([np.eye(4), m]), np.eye(4))
+        assert err.value.index == (1,)
+
+
+class TestSplitSize:
+    """``solve`` splits only systems large enough to repay the parity checks."""
+
+    @pytest.mark.parametrize(
+        "shape,splits",
+        [
+            ((8, 8), False),
+            ((62, 62), False),
+            ((64, 64), True),
+            ((63, 8, 8), False),
+            ((64, 8, 8), True),
+        ],
+    )
+    def test_split_starts_at_the_threshold(self, shape, splits, mirrored_solves):
+        m = mirrored(np.random.default_rng(103), shape[-1], float, shape[:-2])
+        linalg.solve(m, np.ones((shape[-1], 2)))
+        assert bool(mirrored_solves) == splits
+
+    def test_small_system_is_solved_whole(self):
+        m = mirrored(np.random.default_rng(107), 8)
+        b = np.random.default_rng(108).normal(size=(8, 3))
+        assert linalg.solve(m, b).tobytes() == dense_solve(m, b).tobytes()

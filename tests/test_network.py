@@ -100,6 +100,26 @@ class TestCfbTopology:
         assert s[1, 3] == 1.0
 
 
+class TestUnitarityDeviation:
+    @pytest.mark.parametrize("n", [1, 2, 9, 64])
+    def test_chain_permutation_is_exact(self, n):
+        dev, worst = unitarity_deviation(cfb_topology(n))
+        assert dev == 0.0
+        assert worst == (0, 0)
+
+    @pytest.mark.parametrize("dim", [4, 8, 20])
+    def test_real_product_matches_complex_product(self, dim):
+        # a real S takes the real product S^T S; complex arithmetic is the reference
+        rng = np.random.default_rng(43 + dim)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        q[0, 0] += 1e-9  # a visible deviation, so its location means something
+        residual = np.abs(q.astype(complex).conj().T @ q.astype(complex) - np.eye(dim))
+        for s in (q, q.astype(complex)):
+            dev, worst = unitarity_deviation(s)
+            assert abs(dev - residual.max()) <= 1e-15
+            assert residual[worst] == residual.max()
+
+
 class TestToQuadrature:
     def test_identity(self):
         assert np.allclose(to_quadrature(np.eye(2).astype(complex)), np.eye(4))

@@ -78,3 +78,46 @@ def test_production_modules_do_not_import_oracles(module):
             imported.add(node.module or "")
             imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
     assert not [name for name in imported if "oracles" in name.split(".")]
+
+
+def calls_numpy_linalg(tree) -> bool:
+    """Whether a module reaches numpy.linalg: ``np.linalg.x``, or an import of it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                return True
+        if isinstance(node, ast.Import) and any(
+            a.name.startswith("numpy.linalg") for a in node.names
+        ):
+            return True
+        if isinstance(node, ast.ImportFrom) and (
+            (node.module or "").startswith("numpy.linalg")
+            or (node.module == "numpy" and any(a.name == "linalg" for a in node.names))
+        ):
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(
+        f.stem
+        for f in Path(nopanet.__file__).parent.glob("*.py")
+        if f.stem not in ("linalg", "oracles")
+    ),
+)
+def test_only_linalg_calls_numpy_linalg(module):
+    # every factorisation then gets the q/p split, the mirror and the condition check
+    tree = ast.parse((Path(nopanet.__file__).parent / f"{module}.py").read_text())
+    assert not calls_numpy_linalg(tree)
+
+
+def test_numpy_linalg_detector_sees_each_form():
+    for source in (
+        "np.linalg.inv(a)",
+        "import numpy.linalg",
+        "from numpy import linalg",
+        "from numpy.linalg import solve",
+    ):
+        assert calls_numpy_linalg(ast.parse(source))
+    assert not calls_numpy_linalg(ast.parse("from .linalg import solve\nlinalg.solve(a, b)"))
