@@ -35,6 +35,8 @@ def _fmt(x) -> str:
 
 
 def _load_config(path) -> dict:
+    if not isinstance(path, str):  # open() would take an int as a file descriptor
+        raise ConfigError(f"config path must be a string, got {path!r}")
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -43,6 +45,14 @@ def _load_config(path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return doc
+
+
+def _number(value, key: str, kind=float):
+    """``kind(value)`` for the config key ``key``; a wrong type or form is a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
 
 def _params_from_config(cfg: dict) -> tuple[NopaParams, dict]:
@@ -75,7 +85,7 @@ def _params_from_config(cfg: dict) -> tuple[NopaParams, dict]:
             )
             # the static limit depends on epsilon/gamma and K alone
             view = {"x": params.xy, "y": 1.0, "K": params.big_k}
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid parameters: {exc}") from exc
     return params, view
 
@@ -84,10 +94,12 @@ def _network_from_config(cfg: dict) -> PassiveNetwork:
     topology = cfg.get("topology", "cfb")
     try:
         if topology == "cfb":
-            n = int(cfg["n_nopas"])
-            return PassiveNetwork.cfb(n)
+            return PassiveNetwork.cfb(_number(cfg["n_nopas"], "n_nopas", int))
         if topology == "custom":
-            return PassiveNetwork.from_json(cfg["matrix_file"])
+            path = cfg["matrix_file"]
+            if not isinstance(path, str):
+                raise ConfigError(f"matrix_file must be a path, got {path!r}")
+            return PassiveNetwork.from_json(path)
     except KeyError as exc:
         raise ConfigError(f"missing config key {exc}") from exc
     except OSError as exc:
@@ -167,7 +179,7 @@ def _thetas_from_config(cfg: dict, view: dict, net: PassiveNetwork):
             static_transfer(_view_coefficients(view), net).h_n
         )
         return found.psi1, found.psi2
-    return float(ta), float(tb)
+    return _number(ta, "theta_a"), _number(tb, "theta_b")
 
 
 def _write(out, text: str):
@@ -270,7 +282,7 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args.config)
     preset = cfg.get("preset")
     if preset is not None:
-        if preset not in X10_PRESETS:
+        if not isinstance(preset, str) or preset not in X10_PRESETS:
             raise ConfigError(
                 f"unknown preset {preset!r}; available: {sorted(X10_PRESETS)}"
             )
@@ -278,13 +290,13 @@ def cmd_compare(args) -> int:
         n_ref = 10
     else:
         try:
-            x_ref = float(cfg["x_ref"])
-            n_ref = int(cfg.get("n_ref", 10))
-        except (KeyError, ValueError) as exc:
+            x_ref = _number(cfg["x_ref"], "x_ref")
+        except KeyError as exc:
             raise ConfigError(f"compare config needs x_ref (or preset): {exc}") from exc
-    y = float(cfg.get("y", 1.0))
-    n_min = int(cfg.get("n_min", 2))
-    n_max = int(cfg.get("n_max", n_ref))
+        n_ref = _number(cfg.get("n_ref", 10), "n_ref", int)
+    y = _number(cfg.get("y", 1.0), "y")
+    n_min = _number(cfg.get("n_min", 2), "n_min", int)
+    n_max = _number(cfg.get("n_max", n_ref), "n_max", int)
     if n_min < 2 or n_max < n_min:
         raise ConfigError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
     rows = []
@@ -319,7 +331,8 @@ def cmd_verify(args) -> int:
     if args.replay:
         replay_doc = _load_config(args.replay)
         try:
-            seed, trials = int(replay_doc["seed"]), int(replay_doc["trials"])
+            seed = _number(replay_doc["seed"], "seed", int)
+            trials = _number(replay_doc["trials"], "trials", int)
         except KeyError as exc:
             raise ConfigError(f"replay file {args.replay} lacks key {exc}") from exc
         if args.config is None:

@@ -7,29 +7,21 @@ system whose reciprocal 1-norm condition number is below ``RCOND_MIN``.  The
 test is scale-free, so it holds for entries of any magnitude and any size.
 ``solve`` estimates it with a probe column of its own added to the caller's.
 
-``inverse`` and ``eigenvalues`` factor a matrix in two halves when it
-does not couple even indices with odd ones: every entry of
-``a[0::2, 1::2]`` and ``a[1::2, 0::2]`` is an exact zero.  Such a matrix is
-permutation-similar to diag(q, p) with q = a[0::2, 0::2] and
-p = a[1::2, 1::2], so its inverse, spectrum and solutions are those of the
-two halves, and the split is exact, not an approximation.  In the
-interleaved (q, p) quadrature order every real interconnect (Im S = 0) with
-the real NOPA pump gives such matrices -- the closed-loop A, I - S22, the
-static elimination matrix and the resolvent i w I - A -- because q never
-mixes with p.  Two LAPACK calls of order n/2 cost about a quarter of one of
-order n.  A matrix that couples the halves takes the single dense call.
-
-When, moreover, p = D q D with D = diag(1, -1, 1, ...), compared entry by
-entry with no tolerance, the odd half is the even half with the signs of
-its odd rows and columns flipped.  Then only q is factored: the spectrum of
-p is that of q, p^-1 = D q^-1 D, and p x = b is q (D x) = D b.  Sign flips
-are exact, so this is no approximation either.  The paper's chain has this
-mirror: the a outputs cascade forward and the b outputs backward, no port
-mixes a with b, and the pump term ab + a^dag b^dag is unchanged by
-a -> i a, b -> -i b, which turns the q half into the p half with the b
-signs flipped.  A network that mixes the a and b rails keeps two calls in
-``inverse`` and ``eigenvalues``, and one dense call in ``solve``, which
-splits only a mirrored system of at least ``_SPLIT_MIN_ENTRIES`` entries.
+``inverse``, ``eigenvalues`` and ``solve`` share one structural rule.  A
+matrix is *mirrored* when no entry couples an even index with an odd one
+and its odd half p = a[1::2, 1::2] equals D q D, with q = a[0::2, 0::2] and
+D = diag(1, -1, 1, ...), compared entry by entry with no tolerance.  Then
+only q is factored: the spectrum of p is that of q, p^-1 = D q^-1 D, and
+p x = b is q (D x) = D b.  Sign flips are exact, so this is no
+approximation, and one LAPACK call of order n/2 costs about an eighth of
+one of order n.  The paper's chain gives mirrored matrices in the
+interleaved (q, p) quadrature order -- its closed-loop A, I - S22, static
+elimination matrix and resolvent i w I - A: its real routing never mixes q
+with p nor the a rail with the b rail, and its pump term ab + a^dag b^dag is
+unchanged by a -> i a, b -> -i b, which flips the b signs of the q half to
+give the p half.  Every other matrix, such as that of a real network that
+mixes the rails, takes the single dense call.  ``solve`` splits only
+systems of at least ``_SPLIT_MIN_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -129,11 +121,11 @@ def solve(m, b) -> np.ndarray:
     no symmetry of any network, so only by accident is it orthogonal to a
     near-null direction that b does not see.  Only b's columns are returned.
 
-    A system of at least ``_SPLIT_MIN_ENTRIES`` entries with no even-odd
-    coupling whose odd half mirrors the even one (see the module docstring)
-    makes one solve of the even half against [b_even | D b_odd] for both
-    halves, with x_odd = D times its second block.  Any other system takes
-    the one dense call.  The condition check runs on the whole system.
+    A mirrored system (see the module docstring) of at least
+    ``_SPLIT_MIN_ENTRIES`` entries makes one solve of its even half q against
+    [b_even | D b_odd] for both halves, with x_odd = D times its second
+    block.  Any other system takes the one dense call.  The condition check
+    runs on the whole system.
     """
     a = np.asarray(m)
     rhs = np.asarray(b)
@@ -149,12 +141,9 @@ def solve(m, b) -> np.ndarray:
     if rhs.ndim < a.ndim:
         # a leading unit axis keeps b a stack of matrices for every numpy version
         rhs = rhs.reshape((1,) * (a.ndim - rhs.ndim) + rhs.shape)
-    halves = _parity_halves(a) if a.size >= _SPLIT_MIN_ENTRIES else None
+    q = _mirrored_half(a) if a.size >= _SPLIT_MIN_ENTRIES else None
     try:
-        if halves is not None and halves[2]:
-            x = _solve_mirrored(halves[0], rhs)
-        else:
-            x = np.linalg.solve(a, rhs)
+        x = np.linalg.solve(a, rhs) if q is None else _solve_mirrored(q, rhs)
     except np.linalg.LinAlgError:
         _raise_singular(a, None)
     _check_condition(a, x, rhs)
@@ -171,19 +160,18 @@ def _solve_mirrored(q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return (y.reshape(y.shape[:-1] + (2, k)) * signs).reshape(y.shape[:-2] + (2 * m, k))
 
 
-def _parity_halves(a: np.ndarray):
-    """The even- and odd-index diagonal blocks of ``a`` if they are all it holds, else None.
+def _mirrored_half(a: np.ndarray):
+    """The even-index half q of ``a`` if ``a`` is mirrored (module docstring), else None.
 
-    A stack qualifies only if every matrix does.  The third item says
-    whether the odd block p mirrors the even block q, p = D q D, in every
-    matrix: entries whose row and column have the same parity equal, the
-    others opposite.  One exact comparison with p times the sign pattern
+    A stack qualifies only if every matrix does.  p = D q D holds when
+    entries whose row and column have the same parity are equal and the
+    others opposite: one exact comparison with p times that sign pattern
     costs a quarter of four sub-block ones at the orders of a short chain.
     """
     if a.shape[-1] < 2 or a[..., 0::2, 1::2].any() or a[..., 1::2, 0::2].any():
         return None
     q, p = a[..., 0::2, 0::2], a[..., 1::2, 1::2]
-    return q, p, q.shape == p.shape and bool((q == p * _d_signs(q.shape[-1])[0]).all())
+    return q if q.shape == p.shape and (q == p * _d_signs(q.shape[-1])[0]).all() else None
 
 
 @lru_cache(maxsize=16)
@@ -204,23 +192,20 @@ def inverse(m) -> np.ndarray:
     """Matrix inverse, rejecting inputs with rcond below ``RCOND_MIN``.
 
     The inverse gives the exact 1-norm condition number, so the check costs
-    two column-sum passes and no extra factorisation.  A matrix with no
-    even-odd coupling is inverted as its two parity halves, and a mirrored
-    odd half (p = D q D) as D q^-1 D, which flips signs only and so is exact
-    (see the module docstring); the condition check still runs on the whole
-    matrix.
+    two column-sum passes and no extra factorisation.  A mirrored matrix
+    (see the module docstring) inverts its even half q alone, with D q^-1 D
+    as the odd half; any other matrix takes the one dense call.  The
+    condition check runs on the whole matrix.
     """
     a = _require_square(as_matrix(m))
-    halves = _parity_halves(a)
+    q = _mirrored_half(a)
     try:
-        if halves is None:
+        if q is None:
             x = np.linalg.inv(a)
         else:
-            q, p, mirrored = halves
             q_inv = np.linalg.inv(q)
             x = np.zeros(a.shape, dtype=q_inv.dtype)
-            x[0::2, 0::2] = q_inv
-            x[1::2, 1::2] = q_inv * _d_signs(len(q))[0] if mirrored else np.linalg.inv(p)
+            x[0::2, 0::2], x[1::2, 1::2] = q_inv, q_inv * _d_signs(len(q))[0]
     except np.linalg.LinAlgError:
         _raise_singular(a, None)
     _check_condition(a, x)
@@ -230,19 +215,15 @@ def inverse(m) -> np.ndarray:
 def eigenvalues(m) -> np.ndarray:
     """Full complex spectrum of a square matrix, multiplicities included.
 
-    A matrix with no even-odd coupling (see the module docstring) returns the
-    spectrum of its even-index half followed by that of its odd-index half:
-    in quadrature order, the q half first.  A mirrored odd half, p = D q D,
-    is similar to the even half, so the even half's spectrum is computed once
-    and returned twice.
+    A mirrored matrix (see the module docstring) is similar to diag(q, q),
+    so the spectrum of its even half q is computed once and returned twice.
+    Any other matrix takes the one dense call.
     """
     a = _require_square(as_matrix(m))
-    halves = _parity_halves(a)
+    q = _mirrored_half(a)
     try:
-        if halves is None:
+        if q is None:
             return np.linalg.eigvals(a)
-        q, p, mirrored = halves
-        q_evs = np.linalg.eigvals(q)
-        return np.concatenate([q_evs, q_evs if mirrored else np.linalg.eigvals(p)])
+        return np.concatenate([np.linalg.eigvals(q)] * 2)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc

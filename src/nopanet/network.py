@@ -36,12 +36,13 @@ class NopaParams:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        # chained comparisons reject NaN too
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be nonnegative and finite, got {self.kappa}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
 
     @classmethod
     def from_normalized(cls, x, y, big_k=0.0, gamma_r=GAMMA_R_REF):

@@ -531,6 +531,57 @@ class TestVerifyCommand:
         assert "'seed'" in err
 
 
+class TestConfigValues:
+    """A wrong-typed config value or a non-finite rate is a config error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("stability", '{"params": {"x": [0.1], "y": 1.0}, "n_nopas": 2}'),
+            ("stability", '{"params": {"x": 0.1, "y": 1.0}, "n_nopas": null}'),
+            (
+                "stability",
+                '{"params": {"x": 0.1, "y": 1.0}, "topology": "custom", "matrix_file": null}',
+            ),
+            ("compare", '{"x_ref": null}'),
+            ("compare", '{"x_ref": 0.078, "y": [1]}'),
+            ("compare", '{"preset": ["x10-text"]}'),
+            (
+                "spectrum",
+                '{"params": {"x": 0.1, "y": 1.0}, "n_nopas": 2, '
+                '"omega_grid": {"values": [0.0]}, "theta_a": {}}',
+            ),
+            ("verify", '{"seed": null, "trials": 1}'),
+            ("verify", '{"seed": 1, "trials": 1, "config": 5}'),
+            ("theorem", '{"params": {"epsilon": 1.0, "gamma": 1e400}, "n_nopas": 2}'),
+            ("stability", '{"params": {"epsilon": 1.0, "gamma": 1e400}, "n_nopas": 2}'),
+            ("stability", '{"params": {"x": 0.1, "y": 1.0, "gamma_r": 1e400}, "n_nopas": 2}'),
+        ],
+        ids=[
+            "x-list",
+            "n_nopas-null",
+            "matrix_file-null",
+            "x_ref-null",
+            "y-list",
+            "preset-list",
+            "theta_a-object",
+            "replay-seed-null",
+            "replay-config-int",
+            "theorem-gamma-inf",
+            "stability-gamma-inf",
+            "stability-gamma_r-inf",
+        ],
+    )
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        flag = "--replay" if command == "verify" else "--config"
+        assert main([command, flag, str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert "Traceback" not in err
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",

@@ -131,7 +131,7 @@ def couples_parities(m):
 
 
 class TestQuadratureSplit:
-    """A real interconnect never mixes q with p, so ``linalg`` factors in halves."""
+    """A real interconnect never mixes q with p; on the chain the p half mirrors the q half."""
 
     @pytest.mark.parametrize("big_k", [0.0, K_REF])
     @pytest.mark.parametrize("n", [2, 5, 16])
@@ -167,7 +167,7 @@ class TestQuadratureSplit:
             resolvent_t,
         )
         for m in matrices:
-            assert linalg._parity_halves(m)[2]
+            assert linalg._mirrored_half(m) is not None
         evs = stability(p, net).eigenvalues
         assert np.array_equal(evs[: 2 * n], evs[2 * n :])
 
@@ -176,9 +176,11 @@ class TestQuadratureSplit:
         orthogonal, _ = np.linalg.qr(rng.normal(size=(8, 8)))
         p = NopaParams.from_normalized(0.05, 1.0, K_REF)
         a = build_closed_loop(p, PassiveNetwork.from_complex(orthogonal)).a
-        assert not linalg._parity_halves(a)[2]
+        # uncoupled, yet not mirrored: the real network mixes the a and b rails
+        assert not couples_parities(a)
+        assert linalg._mirrored_half(a) is None
         net = PassiveNetwork.from_complex(random_unitary(rng, 8))
-        assert linalg._parity_halves(build_closed_loop(p, net).a) is None
+        assert linalg._mirrored_half(build_closed_loop(p, net).a) is None
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_chain_spectrum_matches_40_digit_eigenvalues(self, n):

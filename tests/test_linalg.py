@@ -169,63 +169,43 @@ def nearest_match_gap(got, ref):
     return worst
 
 
+@pytest.mark.usefixtures("split_every_system")
 class TestParitySplit:
-    """Matrices with no even-odd coupling are factored as their two halves."""
+    """A matrix that is not mirrored -- uncoupled or not -- takes the one dense call."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n", [2, 7, 12, 40])
-    def test_eigenvalues_match_dense_spectrum(self, n, dtype):
+    def test_eigenvalues_match_dense_spectrum(self, n, dtype, mirrored_solves):
         m = parity_split(np.random.default_rng(43 + n), n, dtype)
-        evs = linalg.eigenvalues(m)
-        assert nearest_match_gap(evs, np.linalg.eigvals(m)) < 1e-13
-        # q half (even indices) first
-        q_evs = np.linalg.eigvals(m[0::2, 0::2])
-        assert np.array_equal(evs[: len(q_evs)], q_evs)
+        assert_plain_calls(m, None, mirrored_solves, ["eigenvalues"])
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n", [2, 7, 12, 40])
-    def test_inverse_matches_dense_inverse(self, n, dtype):
+    def test_inverse_matches_dense_inverse(self, n, dtype, mirrored_solves):
         m = parity_split(np.random.default_rng(47 + n), n, dtype)
-        inv = linalg.inverse(m)
-        dense = np.linalg.inv(m)
-        assert inv.dtype == dense.dtype
-        assert np.max(np.abs(inv - dense)) < 1e-13 * np.max(np.abs(dense))
-        assert not inv[0::2, 1::2].any() and not inv[1::2, 0::2].any()
+        assert_plain_calls(m, None, mirrored_solves, ["inverse"])
 
-    @pytest.mark.usefixtures("split_every_system")
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n", [2, 7, 12, 40])
     def test_solve_without_mirror_takes_the_dense_call(self, n, dtype, mirrored_solves):
         rng = np.random.default_rng(49 + n)
         m = np.stack([parity_split(rng, n, dtype) for _ in range(3)])
-        b = rng.normal(size=(n, 2))
-        assert linalg.solve(m, b).tobytes() == dense_solve(m, b).tobytes()
-        assert not mirrored_solves
+        assert_plain_calls(m, rng.normal(size=(n, 2)), mirrored_solves, ["solve"])
 
-    @pytest.mark.usefixtures("split_every_system")
     @pytest.mark.parametrize("where", [(0, 1), (5, 2)])
     def test_one_coupling_entry_takes_the_dense_call(self, where, mirrored_solves):
-        m = parity_split(np.random.default_rng(53), 8)
-        m[where] = 1e-300
-        assert linalg.eigenvalues(m).tobytes() == np.linalg.eigvals(m).tobytes()
-        assert linalg.inverse(m).tobytes() == np.linalg.inv(m).tobytes()
-        # a mirrored system that one coupling entry spoils
-        rng = np.random.default_rng(54)
-        m = mirrored(rng, 8)
-        m[where] = 1e-300
-        b = rng.normal(size=(8, 3))
-        assert linalg.solve(m, b).tobytes() == dense_solve(m, b).tobytes()
-        assert not mirrored_solves
+        # an uncoupled matrix, and a mirrored one, that one coupling entry spoils
+        for seed, build in ((53, parity_split), (54, mirrored)):
+            rng = np.random.default_rng(seed)
+            m = build(rng, 8)
+            m[where] = 1e-300
+            assert_plain_calls(m, rng.normal(size=(8, 3)), mirrored_solves)
 
-    @pytest.mark.usefixtures("split_every_system")
     def test_one_coupled_member_of_a_stack_takes_the_dense_call(self, mirrored_solves):
         rng = np.random.default_rng(55)
         m = mirrored(rng, 8, complex, (4,))
         m[2, 3, 0] = 1e-300
-        b = rng.normal(size=(8, 2))
-        assert linalg._parity_halves(m) is None
-        assert linalg.solve(m, b).tobytes() == dense_solve(m, b).tobytes()
-        assert not mirrored_solves
+        assert_plain_calls(m, rng.normal(size=(8, 2)), mirrored_solves, ["solve"])
 
     def test_singular_half_raises(self):
         m = np.zeros((4, 4))
@@ -268,6 +248,23 @@ def dense_solve(m, b):
     if rhs.ndim < m.ndim:
         rhs = rhs.reshape((1,) * (m.ndim - rhs.ndim) + rhs.shape)
     return np.linalg.solve(m, rhs)[..., :k]
+
+
+PLAIN_CALLS = {
+    "solve": (linalg.solve, dense_solve),
+    "inverse": (lambda m, b: linalg.inverse(m), lambda m, b: np.linalg.inv(m)),
+    "eigenvalues": (lambda m, b: linalg.eigenvalues(m), lambda m, b: np.linalg.eigvals(m)),
+}
+
+
+def assert_plain_calls(m, b, mirrored_solves, routines=tuple(PLAIN_CALLS)):
+    """Each routine on the unmirrored m returns the bytes of its one dense numpy call."""
+    assert linalg._mirrored_half(m) is None
+    for name in routines:
+        ours, plain = PLAIN_CALLS[name]
+        got, want = ours(m, b), plain(m, b)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert not mirrored_solves
 
 
 def nudge(m, where):
@@ -332,33 +329,26 @@ class TestMirror:
     @pytest.mark.parametrize("where", [(0, 2), (1, 1), (3, 1), (5, 7)])
     def test_one_ulp_takes_the_unmirrored_calls(self, where, mirrored_solves):
         rng = np.random.default_rng(79)
-        m = nudge(mirrored(rng, 8), where)
-        b = rng.normal(size=(8, 3))
-        assert not linalg._parity_halves(m)[2]
-        assert linalg.eigenvalues(m).tobytes() == two_half_eigenvalues(m).tobytes()
-        assert linalg.inverse(m).tobytes() == two_half_inverse(m).tobytes()
-        assert linalg.solve(m, b).tobytes() == dense_solve(m, b).tobytes()
-        assert not mirrored_solves
+        for dtype in (float, complex):
+            m = nudge(mirrored(rng, 8, dtype), where)
+            assert_plain_calls(m, rng.normal(size=(8, 3)), mirrored_solves)
 
     def test_one_member_of_a_stack_breaks_the_mirror(self, mirrored_solves):
         rng = np.random.default_rng(83)
         m = mirrored(rng, 8, complex, (4,))
         m[2] = nudge(m[2], (3, 3))
-        b = rng.normal(size=(8, 2))
-        assert not linalg._parity_halves(m)[2]
-        assert linalg._parity_halves(m[[0, 1, 3]])[2]
-        assert linalg.solve(m, b).tobytes() == dense_solve(m, b).tobytes()
-        assert not mirrored_solves
+        assert linalg._mirrored_half(m[[0, 1, 3]]) is not None
+        assert_plain_calls(m, rng.normal(size=(8, 2)), mirrored_solves, ["solve"])
 
     def test_odd_order_never_mirrors(self):
         m = parity_split(np.random.default_rng(89), 7)
-        assert not linalg._parity_halves(m)[2]
+        assert linalg._mirrored_half(m) is None
 
     def test_singular_half_raises(self):
         m = mirrored(np.random.default_rng(97), 4)
         m[0::2, 0::2] = [[1.0, 2.0], [2.0, 4.0]]
         m[1::2, 1::2] = [[1.0, -2.0], [-2.0, 4.0]]
-        assert linalg._parity_halves(m)[2]
+        assert linalg._mirrored_half(m) is not None
         with pytest.raises(SingularMatrixError) as err:
             linalg.inverse(m)
         assert err.value.rcond == 0.0

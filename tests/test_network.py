@@ -57,6 +57,19 @@ class TestNopaParams:
         with pytest.raises(ValueError):
             NopaParams.from_normalized(x, y)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["epsilon", "gamma", "kappa"])
+    def test_rejects_non_finite_rates(self, field, value):
+        # 1e400 in a JSON config parses to inf
+        kwargs = {"epsilon": 1.0, "gamma": 1.0, "kappa": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            NopaParams(**kwargs)
+
+    @pytest.mark.parametrize("gamma_r", [math.inf, math.nan])
+    def test_rejects_non_finite_reference_rate(self, gamma_r):
+        with pytest.raises(ValueError):
+            NopaParams.from_normalized(0.5, 1.0, gamma_r=gamma_r)
+
 
 class TestCfbTopology:
     def test_rejects_empty_chain(self):

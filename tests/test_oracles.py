@@ -107,7 +107,7 @@ def calls_numpy_linalg(tree) -> bool:
     ),
 )
 def test_only_linalg_calls_numpy_linalg(module):
-    # every factorisation then gets the q/p split, the mirror and the condition check
+    # every factorisation then gets the mirror and the condition check
     tree = ast.parse((Path(nopanet.__file__).parent / f"{module}.py").read_text())
     assert not calls_numpy_linalg(tree)
 
