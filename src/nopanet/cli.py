@@ -48,11 +48,23 @@ def _load_config(path) -> dict:
 
 
 def _number(value, key: str, kind=float):
-    """``kind(value)`` for the config key ``key``; a wrong type or form is a config error."""
+    """The config value of ``key`` as a finite float, or a whole number for ``kind=int``.
+
+    64, 64.0 and "64" all read as the whole number 64; 2.5, true and
+    non-finite values are config errors that name the key.
+    """
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past 1e308
+        raise ConfigError(f"{key} must be a finite number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    if kind is float:
+        return number
+    if isinstance(value, bool) or not number.is_integer():
+        raise ConfigError(f"{key} must be a whole number, got {value!r}")
+    # a JSON integer is exact as it stands; float() would round it past 2^53
+    return value if isinstance(value, int) else int(number)
 
 
 def _params_from_config(cfg: dict) -> tuple[NopaParams, dict]:
@@ -71,17 +83,17 @@ def _params_from_config(cfg: dict) -> tuple[NopaParams, dict]:
         )
     try:
         if has_norm:
-            x = float(p["x"])
-            y = float(p["y"])
-            big_k = float(p.get("K", 0.0))
-            gamma_r = float(p.get("gamma_r", GAMMA_R_REF))
+            x = _number(p["x"], "x")
+            y = _number(p["y"], "y")
+            big_k = _number(p.get("K", 0.0), "K")
+            gamma_r = _number(p.get("gamma_r", GAMMA_R_REF), "gamma_r")
             params = NopaParams.from_normalized(x, y, big_k, gamma_r)
             view = {"x": x, "y": y, "K": big_k}
         else:
             params = NopaParams(
-                epsilon=float(p["epsilon"]),
-                gamma=float(p["gamma"]),
-                kappa=float(p.get("kappa", 0.0)),
+                epsilon=_number(p["epsilon"], "epsilon"),
+                gamma=_number(p["gamma"], "gamma"),
+                kappa=_number(p.get("kappa", 0.0), "kappa"),
             )
             # the static limit depends on epsilon/gamma and K alone
             view = {"x": params.xy, "y": 1.0, "K": params.big_k}
@@ -129,15 +141,13 @@ def _omega_grid(cfg: dict) -> np.ndarray:
             raise ConfigError(f"malformed omega_grid values: {exc}") from exc
     else:
         try:
-            start, stop, points = float(g["start"]), float(g["stop"]), float(g["points"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed omega_grid: {exc}") from exc
-        # 64, 64.0 and "64" all count 64 points; 2.5 and true count nothing
-        if isinstance(g["points"], bool) or not points.is_integer() or points < 0:
-            raise ConfigError(
-                f"omega_grid points must be a nonnegative whole number, got {g['points']!r}"
-            )
-        points = int(points)
+            start = _number(g["start"], "omega_grid start")
+            stop = _number(g["stop"], "omega_grid stop")
+            points = _number(g["points"], "omega_grid points", int)
+        except KeyError as exc:
+            raise ConfigError(f"malformed omega_grid: missing {exc}") from exc
+        if points < 0:
+            raise ConfigError(f"omega_grid points must be nonnegative, got {points}")
         scale = g.get("scale", "linear")
         if scale == "linear":
             values = np.linspace(start, stop, points)

@@ -22,6 +22,20 @@ unchanged by a -> i a, b -> -i b, which flips the b signs of the q half to
 give the p half.  Every other matrix, such as that of a real network that
 mixes the rails, takes the single dense call.  ``solve`` splits only
 systems of at least ``_SPLIT_MIN_ENTRIES`` entries.
+
+The rule has a second step.  A q half of even order 2m that is
+centrosymmetric -- equal to J q J, with J the exchange matrix that reverses
+the order, again compared with no tolerance -- is split once more: with X =
+q[:m, :m] and Y J = q[:m, m:] with its columns reversed, q is orthogonally
+similar to diag(X + Y J, X - Y J), and the two halves of order m are
+factored as a stack of two in one LAPACK call, about a quarter of the work
+of q.  Forming the halves and reassembling the result round, so the last
+digits move, but an orthogonal similarity loses no accuracy.  On the chain,
+reversing the q half's indices swaps a_j with b_{N+1-j}: the a rail cascades
+forward and the b rail backward, and each pump couples a_j and b_j alike, so
+the chain reversed with its rails swapped is the same chain and all four of
+its matrices above pass the test.  Only a q half of at least
+``_SPLIT_MIN_ENTRIES`` entries per matrix is split this way.
 """
 
 from __future__ import annotations
@@ -40,8 +54,18 @@ RCOND_MIN = 1e-14
 # ``solve`` factors only the even half of a mirrored system from this many
 # entries (a single matrix of order 64, or 64 of order 8): below it one LAPACK
 # call costs less than the parity checks and sign flips (crossover between
-# orders 44 and 64 for one matrix, measured at one BLAS thread).
+# orders 44 and 64 for one matrix, measured at one BLAS thread).  A q half is
+# split at its reversal symmetry only when each of its matrices has this many
+# entries (order 64, a chain of 32 NOPAs): the two halves of a smaller one
+# cost more to build and reassemble than their factorisation saves, and a
+# stack of small ones is slower in halves (measured crossovers for q alone:
+# eigenvalues about order 24, inverse 48, solve 100; the one gate keeps one
+# rule and costs ``solve`` about 10 us at orders 64 to 100).
 _SPLIT_MIN_ENTRIES = 64 * 64
+
+# the signs of X + Y J and X - Y J along the stacking axis of ``_centro_halves``
+_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
+_PLUS_MINUS.setflags(write=False)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -156,8 +180,27 @@ def _solve_mirrored(q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     batch, (m, k) = rhs.shape[:-2], (q.shape[-1], rhs.shape[-1])
     signs = _d_signs(m)[1]  # D on the odd block
     both = rhs.reshape(batch + (m, 2, k)) * signs
-    y = np.linalg.solve(q, both.reshape(batch + (m, 2 * k)))
+    y = _solve_half(q, both.reshape(batch + (m, 2 * k)))
     return (y.reshape(y.shape[:-1] + (2, k)) * signs).reshape(y.shape[:-2] + (2 * m, k))
+
+
+def _solve_half(q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solve q y = c, through the halves of q if ``_centro_halves`` splits it.
+
+    With y+ and y- the solutions of the halves X +- Y J against c1 +- J c2,
+    y = [(y+ + y-) / 2, J (y+ - y-) / 2].
+    """
+    h = _centro_halves(q)
+    if h is None:
+        return np.linalg.solve(q, c)
+    m = h.shape[-1]
+    c1, jc2 = c[..., None, :m, :], c[..., None, m:, :][..., ::-1, :]
+    y = np.linalg.solve(h, c1 + _PLUS_MINUS * jc2) * 0.5
+    y_plus, y_minus = y[..., 0, :, :], y[..., 1, :, :]
+    x = np.empty(y.shape[:-3] + c.shape[-2:], dtype=y.dtype)
+    np.add(y_plus, y_minus, out=x[..., :m, :])
+    np.subtract(y_plus, y_minus, out=x[..., m:, :][..., ::-1, :])
+    return x
 
 
 def _mirrored_half(a: np.ndarray):
@@ -172,6 +215,26 @@ def _mirrored_half(a: np.ndarray):
         return None
     q, p = a[..., 0::2, 0::2], a[..., 1::2, 1::2]
     return q if q.shape == p.shape and (q == p * _d_signs(q.shape[-1])[0]).all() else None
+
+
+def _centro_halves(q: np.ndarray):
+    """The stack [X + Y J, X - Y J] of a large centrosymmetric q, else None.
+
+    q = [[X, Y], [J Y J, J X J]] of even order, with J the exchange matrix, is
+    centrosymmetric: it equals J q J, q with its rows and columns reversed.
+    The orthogonal matrix [[I, I], [J, -J]] / sqrt 2 takes it to
+    diag(X + Y J, X - Y J).  A stack qualifies only if every matrix does, and
+    only from ``_SPLIT_MIN_ENTRIES`` entries per matrix.  The test is exact,
+    like the mirror's.
+    """
+    n, m = q.shape[-1], q.shape[-1] // 2
+    if n % 2 or n * n < _SPLIT_MIN_ENTRIES:
+        return None
+    # the top rows of q against those of J q J compare every pair once
+    if not (q[..., :m, :] == q[..., ::-1, ::-1][..., :m, :]).all():
+        return None
+    x, yj = q[..., None, :m, :m], q[..., None, :m, m:][..., ::-1]
+    return x + _PLUS_MINUS * yj
 
 
 @lru_cache(maxsize=16)
@@ -194,8 +257,9 @@ def inverse(m) -> np.ndarray:
     The inverse gives the exact 1-norm condition number, so the check costs
     two column-sum passes and no extra factorisation.  A mirrored matrix
     (see the module docstring) inverts its even half q alone, with D q^-1 D
-    as the odd half; any other matrix takes the one dense call.  The
-    condition check runs on the whole matrix.
+    as the odd half, and a large centrosymmetric q inverts its two halves
+    in one call; any other matrix takes the one dense call.  The condition
+    check runs on the whole matrix.
     """
     a = _require_square(as_matrix(m))
     q = _mirrored_half(a)
@@ -203,7 +267,7 @@ def inverse(m) -> np.ndarray:
         if q is None:
             x = np.linalg.inv(a)
         else:
-            q_inv = np.linalg.inv(q)
+            q_inv = _inverse_half(q)
             x = np.zeros(a.shape, dtype=q_inv.dtype)
             x[0::2, 0::2], x[1::2, 1::2] = q_inv, q_inv * _d_signs(len(q))[0]
     except np.linalg.LinAlgError:
@@ -212,18 +276,40 @@ def inverse(m) -> np.ndarray:
     return x
 
 
+def _inverse_half(q: np.ndarray) -> np.ndarray:
+    """q^-1, through the halves of q if ``_centro_halves`` splits it.
+
+    With P and M the inverses of the halves X + Y J and X - Y J,
+    q^-1 = [[P + M, (P - M) J], [J (P - M), J (P + M) J]] / 2, which is
+    centrosymmetric: its bottom rows are its top rows reversed.
+    """
+    h = _centro_halves(q)
+    if h is None:
+        return np.linalg.inv(q)
+    plus, minus = np.linalg.inv(h) * 0.5
+    m = len(plus)
+    q_inv = np.empty(q.shape, dtype=plus.dtype)
+    np.add(plus, minus, out=q_inv[:m, :m])
+    np.subtract(plus, minus, out=q_inv[:m, m:][:, ::-1])
+    q_inv[m:] = q_inv[:m][::-1, ::-1]
+    return q_inv
+
+
 def eigenvalues(m) -> np.ndarray:
     """Full complex spectrum of a square matrix, multiplicities included.
 
     A mirrored matrix (see the module docstring) is similar to diag(q, q),
-    so the spectrum of its even half q is computed once and returned twice.
-    Any other matrix takes the one dense call.
+    so the spectrum of its even half q is computed once and returned twice;
+    a large centrosymmetric q gives the spectra of its two halves from one
+    call.  Any other matrix takes the one dense call.
     """
     a = _require_square(as_matrix(m))
     q = _mirrored_half(a)
     try:
         if q is None:
             return np.linalg.eigvals(a)
-        return np.concatenate([np.linalg.eigvals(q)] * 2)
+        h = _centro_halves(q)
+        half = np.linalg.eigvals(q) if h is None else np.linalg.eigvals(h).reshape(-1)
+        return np.concatenate([half] * 2)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc

@@ -582,6 +582,63 @@ class TestConfigValues:
         assert "Traceback" not in err
 
 
+class TestConfigNumbers:
+    """Whole-number keys take whole numbers only; a bad number's message names its key."""
+
+    CHAIN = '{"params": {"x": 0.1, "y": 1.0}, "n_nopas": %s}'
+    CASES = {
+        "n_nopas-half": ("stability", CHAIN % "2.5", "n_nopas"),
+        "n_nopas-true": ("stability", CHAIN % "true", "n_nopas"),
+        "n_nopas-inf": ("stability", CHAIN % "1e400", "n_nopas"),
+        "n_nopas-huge-int": ("stability", CHAIN % ("1" + "0" * 400), "n_nopas"),
+        "n_ref-half": ("compare", '{"x_ref": 0.05, "n_ref": 10.5}', "n_ref"),
+        "n_ref-inf": ("compare", '{"x_ref": 0.05, "n_ref": 1e400}', "n_ref"),
+        "n_min-true": ("compare", '{"x_ref": 0.05, "n_min": true}', "n_min"),
+        "n_max-half": ("compare", '{"x_ref": 0.05, "n_max": 3.5}', "n_max"),
+        "seed-half": ("verify", '{"seed": 1.5, "trials": 1}', "seed"),
+        "trials-true": ("verify", '{"seed": 1, "trials": true}', "trials"),
+        "x_ref-inf": ("compare", '{"x_ref": 1e400}', "x_ref"),
+        "y-nan": ("compare", '{"x_ref": 0.05, "y": NaN}', "y"),
+        "K-inf": ("stability", '{"params": {"x": 0.1, "y": 1.0, "K": 1e400}, "n_nopas": 2}', "K"),
+        "theta_a-inf": (
+            "spectrum",
+            '{"params": {"x": 0.1, "y": 1.0}, "n_nopas": 2, '
+            '"omega_grid": {"values": [0.0]}, "theta_a": 1e400}',
+            "theta_a",
+        ),
+        "points-inf": (
+            "spectrum",
+            '{"params": {"x": 0.1, "y": 1.0}, "n_nopas": 2, '
+            '"omega_grid": {"start": 0, "stop": 1, "points": 1e400}}',
+            "points",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bad_number_is_a_config_error_naming_its_key(self, tmp_path, capsys, case):
+        command, text, key = self.CASES[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        flag = "--replay" if command == "verify" else "--config"
+        assert main([command, flag, str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"{key} must be" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n", ["3.0", '"3"'])
+    def test_whole_number_of_any_type_counts(self, tmp_path, n):
+        outs = []
+        for text in (self.CHAIN % "3", self.CHAIN % n):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(text)
+            out = tmp_path / f"out{len(outs)}"
+            assert main(["stability", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 3 + 12
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",

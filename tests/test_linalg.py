@@ -1,9 +1,15 @@
 """Kernel tests: every routine is checked against an independent oracle."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nopanet import linalg
+from nopanet import K_REF, NopaParams, PassiveNetwork, build_closed_loop, linalg
+from nopanet.static_limit import elimination_matrix, static_coefficients
 from nopanet.errors import DimensionError, SingularMatrixError
 
 
@@ -217,16 +223,21 @@ class TestParitySplit:
         assert err.value.index is None
 
 
+def mirror_of(q):
+    """The mirrored matrix, or stack, with even half q and odd half D q D."""
+    m = q.shape[-1]
+    out = np.zeros(q.shape[:-2] + (2 * m, 2 * m), dtype=q.dtype)
+    out[..., 0::2, 0::2] = q
+    out[..., 1::2, 1::2] = q * (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
+    return out
+
+
 def mirrored(rng, n, dtype=float, stack=()):
     """A seeded matrix, or stack, with no even-odd coupling and odd half D (even half) D."""
     even = rng.normal(size=stack + (n // 2, n // 2)) + 2.0 * np.eye(n // 2)
     if dtype is complex:
         even = even + 1j * rng.normal(size=even.shape)
-    signs = (-1.0) ** np.add.outer(np.arange(n // 2), np.arange(n // 2))
-    m = np.zeros(stack + (n, n), dtype=dtype)
-    m[..., 0::2, 0::2] = even
-    m[..., 1::2, 1::2] = signs * even
-    return m
+    return mirror_of(even)
 
 
 def two_half_eigenvalues(m):
@@ -381,3 +392,175 @@ class TestSplitSize:
         m = mirrored(np.random.default_rng(107), 8)
         b = np.random.default_rng(108).normal(size=(8, 3))
         assert linalg.solve(m, b).tobytes() == dense_solve(m, b).tobytes()
+
+
+def chain_matrices(n, x, y, big_k, omegas=(0.0,)):
+    """The chain's A, I - S22, static elimination matrix E and resolvents i w I - A."""
+    params = NopaParams.from_normalized(x, y, big_k)
+    net = PassiveNetwork.cfb(n)
+    a = build_closed_loop(params, net).a
+    e = elimination_matrix(static_coefficients(x, y, big_k), net)
+    eye = np.eye(4 * n)
+    resolvents = np.stack([1j * w * params.gamma * eye - a for w in omegas])
+    return a, eye - net.blocks.s22, e, resolvents
+
+
+def stable_x(n, y, big_k, fraction):
+    """``fraction`` of the lossy chain's bound on x, capped at x = 1.
+
+    With r = x y the chain is stable while
+    2 atan(r sqrt(1 - K^2)) < (pi/2 + asin K) / N.
+    """
+    r_max = math.tan((math.pi / 2 + math.asin(big_k)) / (2 * n)) / math.sqrt(1 - big_k**2)
+    return fraction * min(r_max / y, 1.0)
+
+
+def spectral_gap(got, ref):
+    """Worst distance when each reference eigenvalue takes its nearest unused match,
+    relative to the spectral radius."""
+    assert len(got) == len(ref)
+    pool, worst = np.asarray(got, dtype=complex), 0.0
+    used = np.zeros(len(pool), dtype=bool)
+    for z in ref:
+        dist = np.where(used, np.inf, np.abs(pool - z))
+        k = int(np.argmin(dist))
+        used[k], worst = True, max(worst, dist[k])
+    return worst / np.max(np.abs(ref))
+
+
+def centro(rng, m, dtype=float, stack=()):
+    """A seeded centrosymmetric matrix, or stack: equal to itself with rows and columns reversed."""
+    c = rng.normal(size=stack + (m, m)) + 2.0 * np.eye(m)
+    if dtype is complex:
+        c = c + 1j * rng.normal(size=c.shape)
+    return c + c[..., ::-1, ::-1]
+
+
+def whole_q_solve(m, b):
+    """``solve`` on a mirrored system as one LAPACK call on its whole q half."""
+    q = m[..., 0::2, 0::2]
+    half = q.shape[-1]
+    signs = np.stack([np.ones(half), (-1.0) ** np.arange(half)], -1)[..., None]
+    rhs = np.concatenate([b, np.broadcast_to(linalg._probe(m.shape[-1]), b.shape[:-1] + (1,))], -1)
+    k = rhs.shape[-1]
+    both = (rhs.reshape(rhs.shape[:-2] + (-1, 2, k)) * signs).reshape(rhs.shape[:-2] + (-1, 2 * k))
+    y = np.linalg.solve(q, both)
+    x = (y.reshape(y.shape[:-1] + (2, k)) * signs).reshape(y.shape[:-2] + (-1, k))
+    return x[..., : b.shape[-1]]
+
+
+def assert_whole_q_calls(m, b, routines=("eigenvalues", "inverse", "solve")):
+    """Each routine on the mirrored m returns the bytes of one LAPACK call on its q half."""
+    q = m[..., 0::2, 0::2]
+    assert linalg._mirrored_half(m) is not None and linalg._centro_halves(q) is None
+    d = (-1.0) ** np.add.outer(np.arange(q.shape[-1]), np.arange(q.shape[-1]))
+    for name in routines:
+        if name == "eigenvalues":
+            got, want = linalg.eigenvalues(m), np.concatenate([np.linalg.eigvals(q)] * 2)
+        elif name == "inverse":
+            got, q_inv = linalg.inverse(m), np.linalg.inv(q)
+            want = np.zeros(m.shape, dtype=q_inv.dtype)
+            want[0::2, 0::2], want[1::2, 1::2] = q_inv, q_inv * d
+        else:
+            got, want = linalg.solve(m, b), whole_q_solve(m, b)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The shapes of the matrices ``linalg`` hands to numpy's LAPACK routines."""
+    calls = []
+    for name in ("eigvals", "inv", "solve"):
+        plain = getattr(np.linalg, name)
+        spy = lambda a, *rest, plain=plain, name=name: calls.append((name, a.shape)) or plain(a, *rest)
+        monkeypatch.setattr(linalg.np.linalg, name, spy)
+    return calls
+
+
+class TestCentroSplit:
+    """The chain's q half maps onto itself when the chain is reversed and a swaps with b."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 128])
+    def test_chain_q_halves_are_centrosymmetric(self, n, split_every_system):
+        for m in chain_matrices(n, stable_x(n, 1.0, K_REF, 0.5), 1.0, K_REF, (0.0, 0.3)):
+            for a in (m, np.swapaxes(m, -1, -2)):
+                assert linalg._centro_halves(linalg._mirrored_half(a)) is not None
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        fraction=st.floats(0.01, 0.9),
+        y=st.floats(0.01, 1.0),
+        big_k=st.floats(0.0, 0.3),
+        omegas=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
+    )
+    def test_split_matches_the_whole_matrix(self, n, fraction, y, big_k, omegas):
+        a, loop, e, resolvents = chain_matrices(n, stable_x(n, y, big_k, fraction), y, big_k, omegas)
+        b = np.random.default_rng(n).normal(size=(4 * n, 3))
+        with mock.patch.object(linalg, "_SPLIT_MIN_ENTRIES", 0):
+            assert spectral_gap(linalg.eigenvalues(a), np.linalg.eigvals(a)) < 1e-12
+            for m in (loop, e, a):
+                inv, ref = linalg.inverse(m), np.linalg.inv(m)
+                assert np.max(np.abs(inv - ref)) < 1e-12 * np.max(np.abs(ref))
+                eye = np.eye(len(m))
+                residual = np.max(np.abs(inv @ m - eye))
+                assert residual <= max(1e-12, 10 * np.max(np.abs(ref @ m - eye)))
+            for m in (e.T, np.swapaxes(resolvents, -1, -2)):
+                x = linalg.solve(m, b)
+                ref = np.linalg.solve(m, np.broadcast_to(b, m.shape[:-2] + b.shape))
+                assert np.max(np.abs(x - ref)) < 1e-12 * np.max(np.abs(ref))
+                residual = np.max(np.abs(m @ x - b))
+                assert residual <= max(1e-12, 10 * np.max(np.abs(m @ ref - b)))
+
+    def test_one_lapack_call_on_a_stack_of_two_halves(self, lapack_calls):
+        n = 32  # the smallest chain whose q half has _SPLIT_MIN_ENTRIES entries
+        a, loop, e, resolvents = chain_matrices(n, stable_x(n, 1.0, K_REF, 0.5), 1.0, K_REF, (0.1,))
+        lapack_calls.clear()  # build_closed_loop inverts I - S22 too
+        linalg.eigenvalues(a)
+        linalg.inverse(loop)
+        linalg.solve(e.T, np.ones((4 * n, 4)))
+        linalg.solve(np.swapaxes(resolvents, -1, -2), np.ones((4 * n, 4)))
+        assert lapack_calls == [
+            ("eigvals", (2, n, n)),
+            ("inv", (2, n, n)),
+            ("solve", (2, n, n)),
+            ("solve", (1, 2, n, n)),
+        ]
+
+    def test_split_starts_at_the_threshold(self, lapack_calls):
+        for n, shape in ((31, (62, 62)), (32, (2, 32, 32))):
+            a = chain_matrices(n, stable_x(n, 1.0, K_REF, 0.5), 1.0, K_REF)[0]
+            linalg.eigenvalues(a)
+            assert lapack_calls.pop() == ("eigvals", shape)
+
+    def test_mirrored_but_not_centrosymmetric(self, split_every_system):
+        rng = np.random.default_rng(211)
+        for dtype in (float, complex):
+            q = centro(rng, 8, dtype)
+            q[1, 2] += 0.5  # its partner q[6, 5] keeps the old value
+            assert_whole_q_calls(mirror_of(q), rng.normal(size=(16, 3)))
+
+    def test_odd_order_centrosymmetric(self, split_every_system):
+        rng = np.random.default_rng(223)
+        q = centro(rng, 7)
+        assert (q == q[::-1, ::-1]).all()
+        assert_whole_q_calls(mirror_of(q), rng.normal(size=(14, 2)))
+
+    def test_stack_with_one_centrosymmetric_member(self, split_every_system):
+        rng = np.random.default_rng(227)
+        q = rng.normal(size=(3, 6, 6)) + 4.0 * np.eye(6)
+        q[1] = centro(rng, 6)
+        assert linalg._centro_halves(q[1]) is not None
+        assert_whole_q_calls(mirror_of(q), rng.normal(size=(12, 2)), ["solve"])
+
+    def test_singular_half_raises(self, split_every_system):
+        # X + Y J = [[1, 2], [2, 4]] is singular, X - Y J = I is not
+        x, yj = np.array([[1.0, 1.0], [1.0, 2.5]]), np.array([[0.0, 1.0], [1.0, 1.5]])
+        q = np.block([[x, yj[:, ::-1]], [yj[::-1], x[::-1, ::-1]]])
+        assert linalg._centro_halves(q) is not None
+        with pytest.raises(SingularMatrixError) as err:
+            linalg.inverse(mirror_of(q))
+        assert err.value.rcond == 0.0
+        with pytest.raises(SingularMatrixError) as err:
+            linalg.solve(np.stack([np.eye(8), mirror_of(q)]), np.eye(8))
+        assert err.value.index == (1,)
