@@ -16,8 +16,8 @@ import numpy as np
 
 from . import dynamics, entanglement, oracles
 from .closed_form import closed_form
-from .errors import NopanetError, ConfigError, StabilityError
-from .network import GAMMA_R_REF, NopaParams, PassiveNetwork
+from .errors import NopanetError, ConfigError, DimensionError, StabilityError
+from .network import GAMMA_R_REF, NopaParams, PassiveNetwork, _whole_number
 from .static_limit import static_coefficients, static_transfer
 
 EXIT_OK = 0
@@ -61,10 +61,10 @@ def _number(value, key: str, kind=float):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     if kind is float:
         return number
-    if isinstance(value, bool) or not number.is_integer():
-        raise ConfigError(f"{key} must be a whole number, got {value!r}")
-    # a JSON integer is exact as it stands; float() would round it past 2^53
-    return value if isinstance(value, int) else int(number)
+    try:
+        return _whole_number(value, key)
+    except DimensionError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _params_from_config(cfg: dict) -> tuple[NopaParams, dict]:

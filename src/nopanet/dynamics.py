@@ -3,6 +3,12 @@
 State vector: the 4N cavity quadratures [q_a1, p_a1, q_b1, p_b1, ...].
 Input vector: the 4 external vacuum quadratures followed by the 4N loss
 quadratures.  Output vector: the 4 quadratures of the two external fields.
+
+Closing the loop takes L = (I - S22)^{-1}.  A wiring network (a 0/1
+permutation, such as the paper's chain; see ``network``) gets L by following
+its wires, exactly and with no LAPACK call; every other network inverts
+I - S22.  ``stability`` builds only the drift A, over L itself, and
+``build_closed_loop`` gives the same A together with B, C and D.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .errors import (
     StabilityError,
     WellPosednessError,
 )
-from .linalg import eigenvalues, inverse, solve
+from .linalg import RCOND_MIN, eigenvalues, inverse, solve
 from .network import NopaParams, PassiveNetwork
 
 
@@ -73,31 +79,95 @@ def build_closed_loop(p: NopaParams, net: PassiveNetwork) -> StateSpace:
     from which A, B, C, D follow.  Requires (I - S22) invertible.
     """
     n = net.n_nopas
-    s11, s12, s21, s22 = net.blocks
-    try:
-        loop = inverse(np.eye(4 * n) - s22)
-    except SingularMatrixError as exc:
-        raise WellPosednessError(
-            f"closed loop is ill-posed: I - S22 is singular ({exc})"
-        ) from exc
+    s11, s12, s21, _ = net.blocks
+    loop = _loop(net)
     sg = math.sqrt(p.gamma)
     sk = math.sqrt(p.kappa)
-    # with L = (I - S22)^{-1}, L S22 = L - I
-    a = np.kron(np.eye(n), build_a1(p)) + p.gamma * (np.eye(4 * n) - loop)
     b = np.hstack([-sg * loop @ s21, -sk * np.eye(4 * n)])
     c = sg * s12 @ loop
     d = np.hstack([s11 + s12 @ loop @ s21, np.zeros((4, 4 * n))])
-    return StateSpace(a=a, b=b, c=c, d=d)
+    return StateSpace(a=_drift(p, loop), b=b, c=c, d=d)  # A last: it is written over L
 
 
 def stability(p: NopaParams, net: PassiveNetwork) -> StabilityReport:
-    """Hurwitz verdict for the closed loop, with the full spectrum attached."""
-    ss = build_closed_loop(p, net)
-    spec = eigenvalues(ss.a)
+    """Hurwitz verdict for the closed loop, with the full spectrum attached.
+
+    Only the drift A of ``build_closed_loop`` is built, with the same bytes,
+    in the memory of the loop inverse it is made from.
+    """
+    spec = eigenvalues(_drift(p, _loop(net)))
     abscissa = float(np.max(spec.real))
     return StabilityReport(
         stable=bool(abscissa < 0), eigenvalues=spec, spectral_abscissa=abscissa
     )
+
+
+def _loop(net: PassiveNetwork) -> np.ndarray:
+    """L = (I - S22)^{-1}, or ``WellPosednessError`` if I - S22 is singular.
+
+    A wiring network follows its wires (``_wiring_loop``); every other
+    network inverts I - S22.
+    """
+    try:
+        if net.wiring is None:
+            return inverse(np.eye(4 * net.n_nopas) - net.blocks.s22)
+        return _wiring_loop(net.wiring, net.n_nopas)
+    except SingularMatrixError as exc:
+        raise WellPosednessError(
+            f"closed loop is ill-posed: I - S22 is singular ({exc})"
+        ) from exc
+
+
+def _wiring_loop(wiring: np.ndarray, n: int) -> np.ndarray:
+    """(I - S22)^{-1} of a wiring network, from its permutation, with no LAPACK call.
+
+    Each port's output is wired to one input, so S22 has at most one 1 per
+    row and column.  A path of wires starts at each external input and ends
+    at an external output; when every port lies on one of the two, S22 is
+    nilpotent and L is the finite sum of its powers: entry (i, j) is 1 when
+    a signal leaving port j reaches port i (j itself included), else 0, so
+    the ports of a path, in its order, take a lower triangle of ones.  A
+    port on no path lies on a closed cycle of wires, where I - S22 is
+    exactly singular: the rcond-0 error of ``inverse``.  The quadrature form
+    holds the complex one twice, on the q and on the p rows.
+    """
+    ports = 2 * n
+    succ = wiring.tolist()  # indices of S: 0 and 1 external, 2 + k port k
+    reach = np.zeros((ports, ports))
+    on_paths = 0
+    for port in succ[:2]:
+        path = []
+        while port >= 2:
+            path.append(port - 2)
+            port = succ[port]
+        reach[np.ix_(path, path)] = np.tri(len(path))
+        on_paths += len(path)
+    if on_paths < ports:
+        raise SingularMatrixError(
+            f"matrix is singular: rcond = {0.0:.3e} < {RCOND_MIN:g}", rcond=0.0
+        )
+    loop = np.zeros((2 * ports, 2 * ports))
+    loop[0::2, 0::2] = loop[1::2, 1::2] = reach
+    return loop
+
+
+def _drift(p: NopaParams, loop: np.ndarray) -> np.ndarray:
+    """A = I (x) A1 + gamma (I - L), written over L = ``loop`` and returned.
+
+    With L = (I - S22)^{-1}, L S22 = L - I.  The operations are those of
+    the formula, entry by entry, so A has its bytes: 0 - L off the diagonal
+    and (0 - L) + 1 = 1 - L on it, times gamma, then A1 added to each
+    diagonal block (off them, I (x) A1 holds signed zeros, which leave
+    gamma (I - L) as it is).
+    """
+    dim = loop.shape[0]
+    a = np.subtract(0.0, loop, out=loop)
+    a.reshape(-1)[:: dim + 1] += 1.0
+    a *= p.gamma
+    n = dim // 4
+    diagonal = np.arange(n)
+    a.reshape(n, 4, n, 4)[diagonal, :, diagonal, :] += build_a1(p)
+    return a
 
 
 def transfer(ss: StateSpace, omega) -> np.ndarray:

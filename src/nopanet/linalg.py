@@ -259,7 +259,9 @@ def inverse(m) -> np.ndarray:
     (see the module docstring) inverts its even half q alone, with D q^-1 D
     as the odd half, and a large centrosymmetric q inverts its two halves
     in one call; any other matrix takes the one dense call.  The condition
-    check runs on the whole matrix.
+    check of a mirrored matrix runs on q and q^-1: each column of the whole
+    matrix or its inverse holds those of q or q^-1 up to sign, with zeros
+    between that add nothing to its sum, so the rcond has the same bits.
     """
     a = _require_square(as_matrix(m))
     q = _mirrored_half(a)
@@ -272,7 +274,10 @@ def inverse(m) -> np.ndarray:
             x[0::2, 0::2], x[1::2, 1::2] = q_inv, q_inv * _d_signs(len(q))[0]
     except np.linalg.LinAlgError:
         _raise_singular(a, None)
-    _check_condition(a, x)
+    if q is None:
+        _check_condition(a, x)
+    else:
+        _check_condition(q, q_inv)
     return x
 
 

@@ -5,13 +5,20 @@ field vector [in_1, in_2, out_a_1, out_b_1, ..., out_a_N, out_b_N]; its real
 quadrature form of size 4(N+1) acts on the interleaved (q, p) pairs in the
 same order.  The coherent-feedback chain wiring is one named constructor;
 arbitrary user-supplied unitaries are accepted and validated.
+
+A *wiring network* is pure wiring: its S is a 0/1 permutation, as the
+paper's chain is, each port wired to exactly one other.  Such an S is
+unitary exactly when each row and each column holds one 1, which is decided
+in O(m^2) from the entries, with no S*S product; ``PassiveNetwork`` keeps
+the permutation it found (``wiring``), so later layers follow the wires
+rather than test the entries again.  Every other matrix takes the product.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +32,8 @@ GAMMA_R_REF = 7.2e7
 K_REF = 3e6 / (math.sqrt(2) * 0.6 * GAMMA_R_REF)
 
 UNITARITY_TOL = 1e-10
+
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -96,13 +105,56 @@ def cfb_topology(n: int) -> np.ndarray:
     return s
 
 
+def _wiring(a: np.ndarray):
+    """The permutation of a square 0/1 permutation matrix ``a``, else None.
+
+    ``wiring[j]`` is the row of the single 1 in column j.  The test is exact
+    and O(m^2), with no product: the largest entry of each row must be 1.0
+    bit for bit, in distinct columns, and the only nonzero entries.  Any
+    other value, a second 1 in a row or column, or a zero with its sign bit
+    set gives None.
+    """
+    m = a.shape[0]
+    if a.shape != (m, m) or m == 0:
+        return None
+    pairs = np.ascontiguousarray(a, dtype=complex).view(float)  # (re, im) side by side
+    rows = np.arange(m)
+    cols = pairs.argmax(axis=1) // 2
+    bits = pairs.view(np.uint64)
+    if np.count_nonzero(bits) != m or not (bits[rows, 2 * cols] == _ONE_BITS).all():
+        return None
+    wiring = np.full(m, -1)
+    wiring[cols] = rows
+    return None if (wiring < 0).any() else wiring
+
+
+def _require_unitary(a: np.ndarray) -> None:
+    """Raise ``UnitarityError`` unless the product S*S is the identity within tolerance."""
+    dev, worst = _gram_deviation(a)
+    if dev > UNITARITY_TOL:
+        raise UnitarityError(
+            f"input is not unitary: max |S*S - I| = {dev:.3e} at {worst}",
+            deviation=dev,
+            worst_index=worst,
+        )
+
+
 def unitarity_deviation(s: np.ndarray):
     """Max-entry deviation of S*S from the identity, and its location.
 
-    A real S (such as the 0/1 permutation of the chain) takes the real
-    product S^T S, a quarter of the complex one's flops.
+    A 0/1 permutation (a wiring network) is exactly unitary: 0.0 at (0, 0),
+    the product's own answer, without forming it.
     """
     a = as_matrix(s)
+    return (0.0, (0, 0)) if _wiring(a) is not None else _gram_deviation(a)
+
+
+def _gram_deviation(a: np.ndarray):
+    """``unitarity_deviation`` by the product.
+
+    A real S takes the real product S^T S, a quarter of the complex one's
+    flops.
+    """
     if a.imag.any():
         gram = a.conj().T @ a
     else:
@@ -124,14 +176,15 @@ def to_quadrature(s) -> np.ndarray:
     a = as_matrix(s)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    dev, worst = unitarity_deviation(a)
-    if dev > UNITARITY_TOL:
-        raise UnitarityError(
-            f"input is not unitary: max |S*S - I| = {dev:.3e} at {worst}",
-            deviation=dev,
-            worst_index=worst,
-        )
-    out = np.empty((2 * a.shape[0], 2 * a.shape[1]))
+    if _wiring(a) is None:
+        _require_unitary(a)
+    return _quadrature(a)
+
+
+def _quadrature(a: np.ndarray) -> np.ndarray:
+    """The quadrature form of a checked unitary ``a``."""
+    m = a.shape[0]
+    out = np.empty((2 * m, 2 * m))
     out[0::2, 0::2] = out[1::2, 1::2] = a.real
     out[0::2, 1::2] = -a.imag
     out[1::2, 0::2] = a.imag
@@ -150,22 +203,48 @@ def partition(s_quad) -> Blocks:
         raise DimensionError(
             f"quadrature interconnect must be square of size 4(N+1) >= 8, got {a.shape}"
         )
+    return _blocks(a)
+
+
+def _blocks(a: np.ndarray) -> Blocks:
+    """``partition`` of a quadrature interconnect already known to be finite and of valid size."""
     return Blocks(s11=a[:4, :4], s12=a[:4, 4:], s21=a[4:, :4], s22=a[4:, 4:])
 
 
 @dataclass(frozen=True)
 class PassiveNetwork:
-    """Validated passive interconnect with its quadrature form and blocks."""
+    """Validated passive interconnect with its quadrature form and blocks.
+
+    ``wiring`` is the permutation of a wiring network (see the module
+    docstring): column j of ``s_complex`` holds its 1 in row ``wiring[j]``,
+    so input port j is wired to output port ``wiring[j]``.  It is None for
+    every other network.  It is read off ``s_complex`` on construction, so
+    it cannot disagree with it.
+    """
 
     n_nopas: int
     s_complex: np.ndarray
     s_quad: np.ndarray
     blocks: Blocks
+    wiring: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "wiring", _wiring(self.s_complex))
 
     @classmethod
     def from_complex(cls, s, n_nopas: int | None = None) -> "PassiveNetwork":
         """Wrap an arbitrary complex unitary interconnect of size 2(N+1)."""
-        a = as_matrix(s).astype(complex)
+        return cls._validated(as_matrix(s).astype(complex), n_nopas)
+
+    @classmethod
+    def cfb(cls, n: int) -> "PassiveNetwork":
+        """The N-NOPA coherent feedback chain."""
+        # a fresh array of exact 0s and 1s: nothing to copy, nothing non-finite
+        return cls._validated(cfb_topology(n))
+
+    @classmethod
+    def _validated(cls, a: np.ndarray, n_nopas: int | None = None) -> "PassiveNetwork":
+        """Check the complex matrix ``a``, which the network then owns, and wrap it."""
         if a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0 or a.shape[0] < 4:
             raise DimensionError(
                 f"interconnect must be square of size 2(N+1) >= 4, got {a.shape}"
@@ -175,29 +254,47 @@ class PassiveNetwork:
             raise DimensionError(
                 f"declared N={n_nopas} inconsistent with matrix size {a.shape[0]}"
             )
-        s_quad = to_quadrature(a)
-        return cls(n_nopas=n, s_complex=a, s_quad=s_quad, blocks=partition(s_quad))
-
-    @classmethod
-    def cfb(cls, n: int) -> "PassiveNetwork":
-        """The N-NOPA coherent feedback chain."""
-        return cls.from_complex(cfb_topology(n))
+        s_quad = _quadrature(a)
+        net = cls(n_nopas=n, s_complex=a, s_quad=s_quad, blocks=_blocks(s_quad))
+        if net.wiring is None:  # a wiring network is unitary by its counts
+            _require_unitary(a)
+        return net
 
     @classmethod
     def from_json(cls, path) -> "PassiveNetwork":
         """Load a user-defined interconnect from JSON.
 
         Expected schema: {"n_nopas": N, "matrix": [[[re, im], ...], ...]}
-        with the matrix given row-major as [re, im] pairs.
+        with the matrix given row-major as [re, im] pairs.  N is read as the
+        CLI reads whole numbers (2, 2.0 and "2" are 2; 2.5 and true are
+        errors), and a true or false entry is an error, not 1 or 0.
         """
         with open(path) as f:
             doc = json.load(f)
         try:
-            n = int(doc["n_nopas"])
+            n = _whole_number(doc["n_nopas"], "n_nopas")
             rows = doc["matrix"]
-            s = np.array(
-                [[complex(entry[0], entry[1]) for entry in row] for row in rows]
-            )
+            s = np.array([[_entry(pair) for pair in row] for row in rows])
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise DimensionError(f"malformed interconnect file {path}: {exc}") from exc
         return cls.from_complex(s, n_nopas=n)
+
+
+def _whole_number(value, key: str) -> int:
+    """``value`` as an int if it is a whole number (not a bool), else ``DimensionError`` naming ``key``."""
+    try:
+        whole = not isinstance(value, bool) and float(value).is_integer()
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise DimensionError(f"{key} must be a whole number, got {value!r}")
+    # a JSON integer is exact as it stands; float() would round it past 2^53
+    return value if isinstance(value, int) else int(float(value))
+
+
+def _entry(pair) -> complex:
+    """One [re, im] pair of a JSON interconnect; a bool is not a number here."""
+    re, im = pair[0], pair[1]
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise DimensionError(f"matrix entries must be numbers, got {pair!r}")
+    return complex(re, im)

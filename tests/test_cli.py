@@ -639,6 +639,49 @@ class TestConfigNumbers:
         assert len(outs[0].splitlines()) == 3 + 12
 
 
+def write_matrix_file(path, s, n_nopas):
+    path.write_text(json.dumps({"n_nopas": n_nopas, "matrix": [[[z.real, z.imag] for z in row] for row in s]}))
+    return str(path)
+
+
+class TestMatrixFile:
+    """A custom interconnect file: its N is a whole number, and a wiring network needs no inverse."""
+
+    # NOPA 1's a output feeds NOPA 2's b port and NOPA 2's a output NOPA 1's b port: not the chain
+    CROSSED = [(2, 0), (4, 1), (5, 2), (1, 3), (3, 4), (0, 5)]  # (row, column) of each 1
+
+    def crossed(self):
+        s = np.zeros((6, 6), dtype=complex)
+        for row, col in self.CROSSED:
+            s[row, col] = 1.0
+        return s
+
+    def stability_cfg(self, tmp_path, n_nopas):
+        mfile = write_matrix_file(tmp_path / "net.json", self.crossed(), n_nopas)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": {"x": 0.002, "y": 1.0, "K": 0.0491}, "topology": "custom", "matrix_file": mfile}))
+        return str(cfg)
+
+    def test_stability_of_a_wiring_network(self, tmp_path):
+        net = PassiveNetwork.from_complex(self.crossed())
+        assert net.wiring is not None and not np.array_equal(net.s_complex, cfb_topology(2))
+        out = tmp_path / "out"
+        assert main(["stability", "--config", self.stability_cfg(tmp_path, 2), "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[0] == "stable: True"
+        assert len(lines) == 3 + 8
+
+    @pytest.mark.parametrize("n_nopas", ["2.5", "true"])
+    def test_whole_n_nopas(self, tmp_path, capsys, n_nopas):
+        cfg = self.stability_cfg(tmp_path, 2)
+        mfile = tmp_path / "net.json"
+        mfile.write_text(mfile.read_text().replace('"n_nopas": 2', f'"n_nopas": {n_nopas}'))
+        assert main(["stability", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid network: n_nopas must be a whole number")
+        assert "Traceback" not in err
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",

@@ -12,6 +12,7 @@ from nopanet import (
     PassiveNetwork,
     build_a1,
     build_closed_loop,
+    cfb_topology,
     dynamics,
     eigenvalues,
     linalg,
@@ -27,13 +28,14 @@ from nopanet.errors import (
     DimensionError,
     NopanetError,
     PoleError,
+    SingularMatrixError,
     StabilityError,
     WellPosednessError,
 )
 from nopanet.network import GAMMA_R_REF, K_REF
 from nopanet.static_limit import elimination_matrix
-from tests.test_linalg import nearest_match_gap
-from tests.test_network import random_unitary
+from tests.test_linalg import lapack_calls, nearest_match_gap  # noqa: F401 (a fixture)
+from tests.test_network import random_permutation, random_unitary
 
 
 def open_loop_network():
@@ -101,6 +103,117 @@ class TestBuildClosedLoop:
         assert ss.b.shape == (12, 16)
         assert ss.c.shape == (4, 12)
         assert ss.d.shape == (4, 16)
+
+
+def acyclic_wiring(rng, n):
+    """A random well-posed wiring network: its ports split into two paths, none into a cycle."""
+    m = 2 * (n + 1)
+    order = 2 + rng.permutation(2 * n)
+    cut = int(rng.integers(0, 2 * n + 1))
+    s = np.zeros((m, m), dtype=complex)
+    exits = rng.permutation(2)
+    for start, path, end in ((0, order[:cut], exits[0]), (1, order[cut:], exits[1])):
+        stops = [start, *path]
+        s[[*path, end], stops] = 1.0  # each stop's output is wired to the next stop's input
+    return s
+
+
+def literal_closed_loop(p, net):
+    """A, B, C, D from the kron / np.linalg.inv formula, as the closed loop was first written."""
+    n = net.n_nopas
+    s11, s12, s21, s22 = net.blocks
+    loop = np.linalg.inv(np.eye(4 * n) - s22)
+    sg, sk = math.sqrt(p.gamma), math.sqrt(p.kappa)
+    a = np.kron(np.eye(n), build_a1(p)) + p.gamma * (np.eye(4 * n) - loop)
+    b = np.hstack([-sg * loop @ s21, -sk * np.eye(4 * n)])
+    c = sg * s12 @ loop
+    d = np.hstack([s11 + s12 @ loop @ s21, np.zeros((4, 4 * n))])
+    return a, b, c, d
+
+
+def neumann_loop(net):
+    """sum_k S22^k, or None when S22 is not nilpotent (a closed cycle of wires).
+
+    S22 has at most one 1 per row and column, and so has each of its powers:
+    every sum is a count of paths, exact in floating point.
+    """
+    s22 = net.s_complex[2:, 2:].real
+    total, power = np.eye(len(s22)), np.eye(len(s22))
+    for _ in range(len(s22)):
+        power = power @ s22
+        if not power.any():
+            return np.kron(total, np.eye(2))
+        total += power
+    return None
+
+
+ILL_POSED = "closed loop is ill-posed: I - S22 is singular (matrix is singular: rcond = 0.000e+00 < 1e-14)"
+
+
+class TestWiringLoop:
+    """A wiring network closes its loop by following the wires, with the bytes of the inverse."""
+
+    @staticmethod
+    def check_wiring_route(s, big_k):
+        net = PassiveNetwork.from_complex(s)
+        assert net.wiring is not None
+        p = NopaParams.from_normalized(0.002, 1.0, big_k)
+        neumann = neumann_loop(net)
+        if neumann is None:
+            for route in (build_closed_loop, stability):
+                with pytest.raises(WellPosednessError) as err:
+                    route(p, net)
+                assert str(err.value) == ILL_POSED
+                assert isinstance(err.value.__cause__, SingularMatrixError)
+                assert err.value.__cause__.rcond == 0.0 and err.value.__cause__.index is None
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.inv(np.eye(4 * net.n_nopas) - net.blocks.s22)
+            return False
+        loop = dynamics._loop(net)
+        assert loop.dtype == float and np.array_equal(loop, neumann)
+        ss = build_closed_loop(p, net)
+        literal = literal_closed_loop(p, net)
+        for got, want in zip((ss.a, ss.b, ss.c, ss.d), literal):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        report = stability(p, net)
+        assert report.eigenvalues.tobytes() == eigenvalues(literal[0]).tobytes()
+        return True
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), big_k=st.sampled_from([0.0, K_REF, 0.3]))
+    def test_random_permutations(self, n, seed, big_k):
+        self.check_wiring_route(random_permutation(np.random.default_rng(seed), 2 * (n + 1)), big_k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), big_k=st.sampled_from([0.0, K_REF, 0.3]))
+    def test_random_well_posed_wirings(self, n, seed, big_k):
+        assert self.check_wiring_route(acyclic_wiring(np.random.default_rng(seed), n), big_k)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 33, 128])
+    def test_chain(self, n):
+        assert self.check_wiring_route(cfb_topology(n), K_REF)
+
+    def test_self_loop_is_ill_posed(self):
+        s = np.zeros((4, 4), dtype=complex)
+        s[0, 0] = s[1, 1] = s[2, 2] = s[3, 3] = 1.0
+        assert not self.check_wiring_route(s, 0.0)
+
+    def test_no_inverse_for_a_wiring_network(self, lapack_calls):
+        p = NopaParams.from_normalized(0.002, 1.0, K_REF)
+        for net in (PassiveNetwork.cfb(40), PassiveNetwork.from_complex(acyclic_wiring(np.random.default_rng(5), 7))):
+            build_closed_loop(p, net)
+            stability(p, net)
+        assert [name for name, _ in lapack_calls] == ["eigvals", "eigvals"]
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_other_networks_invert_as_before(self, n, lapack_calls):
+        net = PassiveNetwork.from_complex(random_unitary(np.random.default_rng(n), 2 * (n + 1)))
+        assert net.wiring is None
+        p = NopaParams.from_normalized(0.002, 1.0, K_REF)
+        build_closed_loop(p, net)
+        assert lapack_calls == [("inv", (4 * n, 4 * n))]
+        stability(p, net)
+        assert lapack_calls[1:] == [("inv", (4 * n, 4 * n)), ("eigvals", (4 * n, 4 * n))]
 
 
 class TestStability:

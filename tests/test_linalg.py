@@ -300,6 +300,40 @@ def split_every_system(monkeypatch):
     monkeypatch.setattr(linalg, "_SPLIT_MIN_ENTRIES", 0)
 
 
+def whole_matrix_rcond(m):
+    """The rcond of the whole mirrored m and its whole inverse, assembled from the inverse of its q half."""
+    q = m[0::2, 0::2]
+    x = mirror_of(np.linalg.inv(q))
+    return linalg._rcond(m, x, None)
+
+
+class TestMirroredCondition:
+    """``inverse`` checks a mirrored matrix's condition on q and q^-1, with the whole matrix's rcond."""
+
+    @pytest.mark.parametrize("order", [3, 8, 40])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_near_singular_reports_the_whole_matrix_rcond(self, order, dtype):
+        rng = np.random.default_rng(order)
+        q = with_condition(rng, order, 3e14)
+        if dtype is complex:
+            q = q * np.exp(0.7j)  # a common phase keeps the condition number
+        m = mirror_of(q)
+        expected = whole_matrix_rcond(m)
+        assert expected < linalg.RCOND_MIN
+        with pytest.raises(SingularMatrixError) as err:
+            linalg.inverse(m)
+        assert err.value.rcond == float(expected)
+        assert err.value.index is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rcond_bits_match_the_whole_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(9, 9)) + 3.0 * np.eye(9)
+        q[rng.random(q.shape) < 0.3] = 0.0  # zeros inside q, as in the chain's matrices
+        q_inv = np.linalg.inv(q)
+        assert linalg._rcond(q, q_inv, None).tobytes() == whole_matrix_rcond(mirror_of(q)).tobytes()
+
+
 @pytest.mark.usefixtures("split_every_system")
 class TestMirror:
     """An odd half equal to D (even half) D is not factored a second time."""

@@ -15,12 +15,36 @@ from nopanet import (
 )
 from nopanet.errors import DimensionError, UnitarityError
 from nopanet.network import GAMMA_R_REF, K_REF, unitarity_deviation
+from nopanet import network
 
 
 def random_unitary(rng, dim):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
+
+
+def random_permutation(rng, dim):
+    """A complex 0/1 permutation matrix: a random wiring network of size dim."""
+    s = np.zeros((dim, dim), dtype=complex)
+    s[rng.permutation(dim), np.arange(dim)] = 1.0
+    return s
+
+
+def gram_residual(s):
+    """|S*S - I| by the complex product, the reference for ``unitarity_deviation``."""
+    s = np.asarray(s, dtype=complex)
+    return np.abs(s.conj().T @ s - np.eye(len(s)))
+
+
+def literal_quadrature(a):
+    """The quadrature form written entry by entry: [[Re, -Im], [Im, Re]] blocks."""
+    a = np.asarray(a, dtype=complex)
+    out = np.empty((2 * len(a), 2 * len(a)))
+    out[0::2, 0::2] = out[1::2, 1::2] = a.real
+    out[0::2, 1::2] = -a.imag
+    out[1::2, 0::2] = a.imag
+    return out
 
 
 def symplectic_form(n_fields):
@@ -131,6 +155,78 @@ class TestUnitarityDeviation:
             dev, worst = unitarity_deviation(s)
             assert abs(dev - residual.max()) <= 1e-15
             assert residual[worst] == residual.max()
+
+
+class TestWiring:
+    """A 0/1 permutation is decided from its entries; every other matrix takes the product."""
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64])
+    def test_chain_is_wiring(self, n):
+        net = PassiveNetwork.cfb(n)
+        dim = 2 * (n + 1)
+        assert sorted(net.wiring) == list(range(dim))
+        assert (net.s_complex[net.wiring, np.arange(dim)] == 1).all()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_permutation(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2 * int(rng.integers(2, 42))
+        s = random_permutation(rng, dim)
+        for a in (s, s.real, s.real.astype(int)):
+            assert network._wiring(a) is not None
+            assert unitarity_deviation(a) == (0.0, (0, 0))
+        assert gram_residual(s).max() == 0.0
+        net = PassiveNetwork.from_complex(s)
+        assert (s[net.wiring, np.arange(dim)] == 1).all()
+        assert net.s_quad.tobytes() == literal_quadrature(s).tobytes()
+        assert to_quadrature(s.real).tobytes() == literal_quadrature(s.real).tobytes()
+
+    @pytest.mark.parametrize(
+        "break_it",
+        [
+            lambda s: s.__setitem__((0, slice(None)), 0.0),  # an empty row
+            lambda s: s.__setitem__((0, slice(None)), 1.0),  # a full row
+            lambda s: s.__setitem__((slice(None), 1), s[:, 0]),  # two columns alike
+            lambda s: s.__setitem__(1, s[0]),  # two rows alike: one column holds two 1s
+            lambda s: s.__setitem__((1, 1), 1.0 - s[1, 1]),  # one entry flipped
+            lambda s: s.__setitem__((3, 2), 2.0 - s[3, 2]),  # an entry of 2
+        ],
+    )
+    def test_other_zero_one_matrices_keep_the_product(self, break_it):
+        rng = np.random.default_rng(7)
+        s = random_permutation(rng, 10)
+        break_it(s)
+        assert network._wiring(s) is None
+        residual = gram_residual(s)
+        dev, worst = unitarity_deviation(s)
+        assert dev == residual.max() and residual[worst] == residual.max()
+        with pytest.raises(UnitarityError) as err:
+            PassiveNetwork.from_complex(s)
+        assert err.value.deviation == dev
+        assert err.value.worst_index == worst
+
+    def test_unitary_non_wiring_matrices_are_not_wiring(self):
+        # a sign, a phase or a signed zero is not pure wiring; each still passes the product
+        rng = np.random.default_rng(11)
+        s = random_permutation(rng, 8)
+        signed, phased, neg_zero = s.copy(), s.copy(), s.copy()
+        signed[s == 1] = [-1, 1, 1, 1, 1, 1, 1, 1]
+        phased[s == 1] = [1j, 1, 1, 1, 1, 1, 1, 1]
+        neg_zero[0, s[0] == 0] = -0.0
+        for a in (signed, phased, neg_zero, random_unitary(rng, 8)):
+            net = PassiveNetwork.from_complex(a)
+            assert net.wiring is None
+            assert net.s_quad.tobytes() == literal_quadrature(a).tobytes()
+
+    def test_wiring_is_read_off_s_not_passed_in(self):
+        chain, other = PassiveNetwork.cfb(3), PassiveNetwork.from_complex(random_unitary(np.random.default_rng(3), 8))
+        with pytest.raises(TypeError):
+            PassiveNetwork(3, chain.s_complex, chain.s_quad, chain.blocks, wiring=None)
+        for net in (chain, other):
+            built = PassiveNetwork(net.n_nopas, net.s_complex, net.s_quad, net.blocks)
+            assert (built.wiring is None) == (net.wiring is None)
+            if net.wiring is not None:
+                assert np.array_equal(built.wiring, net.wiring)
 
 
 class TestToQuadrature:
@@ -249,6 +345,29 @@ class TestPassiveNetwork:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n_nopas": 2, "matrix": [[1, 2], [3]]}))
         with pytest.raises(DimensionError):
+            PassiveNetwork.from_json(path)
+
+    @pytest.mark.parametrize("n_nopas", [2, 2.0, "2"])
+    def test_json_whole_n_is_accepted(self, tmp_path, n_nopas):
+        doc = {"n_nopas": n_nopas, "matrix": [[[z.real, z.imag] for z in row] for row in cfb_topology(2)]}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        assert PassiveNetwork.from_json(path).n_nopas == 2
+
+    @pytest.mark.parametrize("n_nopas", [2.5, True, 1e400, None, "two"])
+    def test_json_n_must_be_a_whole_number(self, tmp_path, n_nopas):
+        doc = {"n_nopas": n_nopas, "matrix": [[[z.real, z.imag] for z in row] for row in cfb_topology(2)]}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DimensionError, match="n_nopas"):
+            PassiveNetwork.from_json(path)
+
+    def test_json_bool_entries_are_rejected(self, tmp_path):
+        doc = {"n_nopas": 1, "matrix": [[[z.real, z.imag] for z in row] for row in cfb_topology(1)]}
+        doc["matrix"][0][2] = [True, 0]
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DimensionError, match="must be numbers"):
             PassiveNetwork.from_json(path)
 
     def test_json_non_unitary_reports_deviation(self, tmp_path):
