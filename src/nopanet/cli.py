@@ -60,6 +60,8 @@ def _number(value, key: str, kind=float):
     if not math.isfinite(number):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     if kind is float:
+        if isinstance(value, bool):  # float() reads true as 1.0
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
         return number
     try:
         return _whole_number(value, key)
@@ -135,6 +137,8 @@ def _omega_grid(cfg: dict) -> np.ndarray:
     if "values" in g:
         if not isinstance(g["values"], list):
             raise ConfigError(f"omega_grid values must be a list, got {type(g['values']).__name__}")
+        if any(isinstance(v, bool) for v in g["values"]):  # float() reads true as 1.0
+            raise ConfigError(f"omega_grid values must be numbers, got {g['values']!r}")
         try:
             values = np.asarray([float(v) for v in g["values"]])
         except (TypeError, ValueError) as exc:

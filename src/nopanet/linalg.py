@@ -7,21 +7,21 @@ system whose reciprocal 1-norm condition number is below ``RCOND_MIN``.  The
 test is scale-free, so it holds for entries of any magnitude and any size.
 ``solve`` estimates it with a probe column of its own added to the caller's.
 
-``inverse``, ``eigenvalues`` and ``solve`` share one structural rule.  A
-matrix is *mirrored* when no entry couples an even index with an odd one
-and its odd half p = a[1::2, 1::2] equals D q D, with q = a[0::2, 0::2] and
+``eigenvalues`` and ``solve`` share one structural rule.  A matrix is
+*mirrored* when no entry couples an even index with an odd one and its odd
+half p = a[1::2, 1::2] equals D q D, with q = a[0::2, 0::2] and
 D = diag(1, -1, 1, ...), compared entry by entry with no tolerance.  Then
-only q is factored: the spectrum of p is that of q, p^-1 = D q^-1 D, and
-p x = b is q (D x) = D b.  Sign flips are exact, so this is no
-approximation, and one LAPACK call of order n/2 costs about an eighth of
-one of order n.  The paper's chain gives mirrored matrices in the
-interleaved (q, p) quadrature order -- its closed-loop A, I - S22, static
-elimination matrix and resolvent i w I - A: its real routing never mixes q
-with p nor the a rail with the b rail, and its pump term ab + a^dag b^dag is
-unchanged by a -> i a, b -> -i b, which flips the b signs of the q half to
-give the p half.  Every other matrix, such as that of a real network that
-mixes the rails, takes the single dense call.  ``solve`` splits only
-systems of at least ``_SPLIT_MIN_ENTRIES`` entries.
+only q is factored: the spectrum of p is that of q, and p x = b is
+q (D x) = D b.  Sign flips are exact, so this is no approximation, and one
+LAPACK call of order n/2 costs about an eighth of one of order n.  The
+paper's chain gives mirrored matrices in the interleaved (q, p) quadrature
+order -- its closed-loop A, static elimination matrix and resolvent
+i w I - A: its real routing never mixes q with p nor the a rail with the b
+rail, and its pump term ab + a^dag b^dag is unchanged by a -> i a,
+b -> -i b, which flips the b signs of the q half to give the p half.  Every
+other matrix, such as that of a real network that mixes the rails, takes
+the single dense call.  ``solve`` splits only systems of at least
+``_SPLIT_MIN_ENTRIES`` entries.
 
 The rule has a second step.  A q half of even order 2m that is
 centrosymmetric -- equal to J q J, with J the exchange matrix that reverses
@@ -33,9 +33,13 @@ of q.  Forming the halves and reassembling the result round, so the last
 digits move, but an orthogonal similarity loses no accuracy.  On the chain,
 reversing the q half's indices swaps a_j with b_{N+1-j}: the a rail cascades
 forward and the b rail backward, and each pump couples a_j and b_j alike, so
-the chain reversed with its rails swapped is the same chain and all four of
-its matrices above pass the test.  Only a q half of at least
+the chain reversed with its rails swapped is the same chain and all three
+of its matrices above pass the test.  Only a q half of at least
 ``_SPLIT_MIN_ENTRIES`` entries per matrix is split this way.
+
+``inverse`` is one dense call on every matrix.  No production path inverts
+a chain matrix: the chain is a wiring network, whose loop follows its
+wires.  Only the oracle ``extract_uv`` does, as a cross-check.
 """
 
 from __future__ import annotations
@@ -55,12 +59,13 @@ RCOND_MIN = 1e-14
 # entries (a single matrix of order 64, or 64 of order 8): below it one LAPACK
 # call costs less than the parity checks and sign flips (crossover between
 # orders 44 and 64 for one matrix, measured at one BLAS thread).  A q half is
-# split at its reversal symmetry only when each of its matrices has this many
-# entries (order 64, a chain of 32 NOPAs): the two halves of a smaller one
-# cost more to build and reassemble than their factorisation saves, and a
-# stack of small ones is slower in halves (measured crossovers for q alone:
-# eigenvalues about order 24, inverse 48, solve 100; the one gate keeps one
-# rule and costs ``solve`` about 10 us at orders 64 to 100).
+# split at its reversal symmetry, by ``eigenvalues`` or ``solve``, only when
+# each of its matrices has this many entries (order 64, a chain of 32 NOPAs):
+# the two halves of a smaller one cost more to build and reassemble than
+# their factorisation saves, and a stack of small ones is slower in halves
+# (measured crossovers for q alone: eigenvalues about order 24, solve 100;
+# the one gate keeps one rule and costs ``solve`` about 10 us at orders 64
+# to 100).
 _SPLIT_MIN_ENTRIES = 64 * 64
 
 # the signs of X + Y J and X - Y J along the stacking axis of ``_centro_halves``
@@ -254,50 +259,17 @@ def _d_signs(m: int):
 def inverse(m) -> np.ndarray:
     """Matrix inverse, rejecting inputs with rcond below ``RCOND_MIN``.
 
-    The inverse gives the exact 1-norm condition number, so the check costs
-    two column-sum passes and no extra factorisation.  A mirrored matrix
-    (see the module docstring) inverts its even half q alone, with D q^-1 D
-    as the odd half, and a large centrosymmetric q inverts its two halves
-    in one call; any other matrix takes the one dense call.  The condition
-    check of a mirrored matrix runs on q and q^-1: each column of the whole
-    matrix or its inverse holds those of q or q^-1 up to sign, with zeros
-    between that add nothing to its sum, so the rcond has the same bits.
+    One dense call on the whole matrix, whatever its structure.  The inverse
+    gives the exact 1-norm condition number, so the check costs two
+    column-sum passes and no extra factorisation.
     """
     a = _require_square(as_matrix(m))
-    q = _mirrored_half(a)
     try:
-        if q is None:
-            x = np.linalg.inv(a)
-        else:
-            q_inv = _inverse_half(q)
-            x = np.zeros(a.shape, dtype=q_inv.dtype)
-            x[0::2, 0::2], x[1::2, 1::2] = q_inv, q_inv * _d_signs(len(q))[0]
+        x = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         _raise_singular(a, None)
-    if q is None:
-        _check_condition(a, x)
-    else:
-        _check_condition(q, q_inv)
+    _check_condition(a, x)
     return x
-
-
-def _inverse_half(q: np.ndarray) -> np.ndarray:
-    """q^-1, through the halves of q if ``_centro_halves`` splits it.
-
-    With P and M the inverses of the halves X + Y J and X - Y J,
-    q^-1 = [[P + M, (P - M) J], [J (P - M), J (P + M) J]] / 2, which is
-    centrosymmetric: its bottom rows are its top rows reversed.
-    """
-    h = _centro_halves(q)
-    if h is None:
-        return np.linalg.inv(q)
-    plus, minus = np.linalg.inv(h) * 0.5
-    m = len(plus)
-    q_inv = np.empty(q.shape, dtype=plus.dtype)
-    np.add(plus, minus, out=q_inv[:m, :m])
-    np.subtract(plus, minus, out=q_inv[:m, m:][:, ::-1])
-    q_inv[m:] = q_inv[:m][::-1, ::-1]
-    return q_inv
 
 
 def eigenvalues(m) -> np.ndarray:

@@ -11,7 +11,8 @@ paper's chain is, each port wired to exactly one other.  Such an S is
 unitary exactly when each row and each column holds one 1, which is decided
 in O(m^2) from the entries, with no S*S product; ``PassiveNetwork`` keeps
 the permutation it found (``wiring``), so later layers follow the wires
-rather than test the entries again.  Every other matrix takes the product.
+rather than test the entries again.  Every other matrix, real or complex,
+takes the one product S*S.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ class NopaParams:
             raise ValueError(f"x must be in [0, 1], got {x}")
         if not 0 < y <= 1:
             raise ValueError(f"y must be in (0, 1], got {y}")
+        # checked here, so that the message names the value the caller gave
+        if not 0 <= big_k < math.inf:
+            raise ValueError(f"K must be nonnegative and finite, got {big_k}")
+        if not 0 < gamma_r < math.inf:
+            raise ValueError(f"gamma_r must be positive and finite, got {gamma_r}")
         return cls(epsilon=x * gamma_r, gamma=gamma_r / y, kappa=big_k * x * gamma_r)
 
     @property
@@ -150,16 +156,8 @@ def unitarity_deviation(s: np.ndarray):
 
 
 def _gram_deviation(a: np.ndarray):
-    """``unitarity_deviation`` by the product.
-
-    A real S takes the real product S^T S, a quarter of the complex one's
-    flops.
-    """
-    if a.imag.any():
-        gram = a.conj().T @ a
-    else:
-        re = np.ascontiguousarray(a.real)  # a strided view would miss BLAS
-        gram = re.T @ re
+    """``unitarity_deviation`` by the product."""
+    gram = a.conj().T @ a
     residual = np.abs(gram - np.eye(a.shape[0]))
     worst = np.unravel_index(np.argmax(residual), residual.shape)
     return residual[worst], worst

@@ -111,6 +111,13 @@ def _blockwise(m: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def elimination_matrix(coeffs: StaticCoefficients, net: PassiveNetwork) -> np.ndarray:
-    """The matrix I - S22 (I (x) W12) whose inverse closes the static loop."""
+    """The matrix I - S22 (I (x) W12) whose inverse closes the static loop.
+
+    It is written over the product S22 (I (x) W12), with the bytes of the
+    formula: 0 - P off the diagonal and (0 - P) + 1 = 1 - P on it.
+    """
     w12, _ = w_blocks(coeffs)
-    return np.eye(4 * net.n_nopas) - _blockwise(net.blocks.s22, w12)
+    e = _blockwise(net.blocks.s22, w12)
+    np.subtract(0.0, e, out=e)
+    e.reshape(-1)[:: len(e) + 1] += 1.0
+    return e

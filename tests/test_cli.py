@@ -600,6 +600,21 @@ class TestConfigNumbers:
         "x_ref-inf": ("compare", '{"x_ref": 1e400}', "x_ref"),
         "y-nan": ("compare", '{"x_ref": 0.05, "y": NaN}', "y"),
         "K-inf": ("stability", '{"params": {"x": 0.1, "y": 1.0, "K": 1e400}, "n_nopas": 2}', "K"),
+        "K-negative": ("stability", '{"params": {"x": 0.05, "y": 1, "K": -0.1}, "n_nopas": 2}', "K"),
+        "gamma_r-zero": ("stability", '{"params": {"x": 0.05, "y": 1, "gamma_r": 0}, "n_nopas": 2}', "gamma_r"),
+        "x-true": ("stability", '{"params": {"x": true, "y": 1}, "n_nopas": 2}', "x"),
+        "y-true": ("compare", '{"x_ref": 0.05, "y": true}', "y"),
+        "theta_a-true": (
+            "spectrum",
+            '{"params": {"x": 0.1, "y": 1.0}, "n_nopas": 2, '
+            '"omega_grid": {"values": [0.0]}, "theta_a": true}',
+            "theta_a",
+        ),
+        "omega-values-true": (
+            "spectrum",
+            '{"params": {"x": 0.1, "y": 1.0}, "n_nopas": 2, "omega_grid": {"values": [true, 2]}}',
+            "omega_grid values",
+        ),
         "theta_a-inf": (
             "spectrum",
             '{"params": {"x": 0.1, "y": 1.0}, "n_nopas": 2, '

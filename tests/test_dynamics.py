@@ -216,6 +216,25 @@ class TestWiringLoop:
         assert lapack_calls[1:] == [("inv", (4 * n, 4 * n)), ("eigvals", (4 * n, 4 * n))]
 
 
+class TestMirroredCustomNetwork:
+    """A mirrored network that is not wiring inverts I - S22 with the one dense call."""
+
+    @pytest.mark.parametrize("big_k", [0.0, K_REF])
+    @pytest.mark.parametrize("n", [1, 2, 5, 33])
+    def test_signed_permutation_matches_the_literal_formula(self, n, big_k, lapack_calls):
+        s = cfb_topology(n)
+        s[2 * n, 2 * n - 2] = -1.0  # NOPA N-1's a output enters NOPA N with its sign flipped
+        net = PassiveNetwork.from_complex(s)
+        loop = np.eye(4 * n) - net.blocks.s22
+        assert net.wiring is None and linalg._mirrored_half(loop) is not None
+        p = NopaParams.from_normalized(0.5 * math.tan(math.pi / (4 * n)), 1.0, big_k)
+        ss = build_closed_loop(p, net)
+        assert lapack_calls == [("inv", loop.shape)]
+        for got, want in zip((ss.a, ss.b, ss.c, ss.d), literal_closed_loop(p, net)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 class TestStability:
     def test_pump_off_always_stable(self):
         rng = np.random.default_rng(31)

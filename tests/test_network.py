@@ -89,6 +89,24 @@ class TestNopaParams:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             NopaParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"big_k": -0.1}, "K"),
+            ({"big_k": math.inf}, "K"),
+            ({"big_k": math.nan}, "K"),
+            ({"gamma_r": 0.0}, "gamma_r"),
+            ({"gamma_r": -7.2e7}, "gamma_r"),
+            ({"gamma_r": math.inf}, "gamma_r"),
+        ],
+    )
+    @pytest.mark.parametrize("x", [0.0, 0.05])
+    def test_bad_loss_or_rate_names_the_value_given(self, x, kwargs, name):
+        # not kappa = K x gamma_r or gamma = gamma_r / y, which the caller never wrote
+        (value,) = kwargs.values()
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {value}$"):
+            NopaParams.from_normalized(x, 1.0, **kwargs)
+
     @pytest.mark.parametrize("gamma_r", [math.inf, math.nan])
     def test_rejects_non_finite_reference_rate(self, gamma_r):
         with pytest.raises(ValueError):
@@ -146,7 +164,7 @@ class TestUnitarityDeviation:
 
     @pytest.mark.parametrize("dim", [4, 8, 20])
     def test_real_product_matches_complex_product(self, dim):
-        # a real S takes the real product S^T S; complex arithmetic is the reference
+        # a real S and its complex copy take the one product S*S; complex arithmetic is the reference
         rng = np.random.default_rng(43 + dim)
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
         q[0, 0] += 1e-9  # a visible deviation, so its location means something

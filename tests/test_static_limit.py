@@ -18,7 +18,7 @@ from nopanet import (
 from nopanet.errors import PoleError, StructureError, WellPosednessError
 from nopanet.linalg import inverse
 from nopanet.network import K_REF
-from nopanet.static_limit import R, elimination_matrix, w_blocks
+from nopanet.static_limit import R, _blockwise, elimination_matrix, w_blocks
 from tests.test_network import random_unitary
 
 
@@ -150,6 +150,24 @@ class TestStaticTransfer:
         assert np.array_equal(w12, expected_w12)
         assert w34[0, 0] == c.h3
         assert w34[0, 2] == c.h4
+
+
+class TestEliminationMatrix:
+    """E is written over the product S22 (I (x) W12), with the bytes of I - S22 (I (x) W12)."""
+
+    @pytest.mark.parametrize("big_k", [0.0, K_REF])
+    @pytest.mark.parametrize(
+        "net",
+        [PassiveNetwork.cfb(n) for n in (1, 16, 64, 128)]
+        + [PassiveNetwork.from_complex(random_unitary(np.random.default_rng(n), 2 * (n + 1))) for n in (1, 5, 16)],
+        ids=["cfb1", "cfb16", "cfb64", "cfb128", "unitary1", "unitary5", "unitary16"],
+    )
+    def test_bytes_of_the_formula(self, net, big_k):
+        coeffs = static_coefficients(0.05, 0.8, big_k)
+        e = elimination_matrix(coeffs, net)
+        want = np.eye(4 * net.n_nopas) - _blockwise(net.blocks.s22, w_blocks(coeffs)[0])
+        assert e.dtype == want.dtype and e.shape == want.shape
+        assert e.tobytes() == want.tobytes()
 
 
 class TestIsL2Matrix:
