@@ -158,15 +158,15 @@ def _drift(p: NopaParams, loop: np.ndarray) -> np.ndarray:
     the formula, entry by entry, so A has its bytes: 0 - L off the diagonal
     and (0 - L) + 1 = 1 - L on it, times gamma, then A1 added to each
     diagonal block (off them, I (x) A1 holds signed zeros, which leave
-    gamma (I - L) as it is).
+    gamma (I - L) as it is).  Every write indexes L itself, so L may have
+    any memory layout.
     """
-    dim = loop.shape[0]
     a = np.subtract(0.0, loop, out=loop)
-    a.reshape(-1)[:: dim + 1] += 1.0
+    diagonal = np.arange(a.shape[0])
+    a[diagonal, diagonal] += 1.0
     a *= p.gamma
-    n = dim // 4
-    diagonal = np.arange(n)
-    a.reshape(n, 4, n, 4)[diagonal, :, diagonal, :] += build_a1(p)
+    block = diagonal.reshape(-1, 4)  # the indices of each NOPA's 4 x 4 diagonal block
+    a[block[:, :, None], block[:, None, :]] += build_a1(p)
     return a
 
 

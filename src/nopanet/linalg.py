@@ -5,41 +5,36 @@ routines.  Matrices are plain ``numpy.ndarray`` objects; all functions are
 pure and never mutate their arguments.  ``solve`` and ``inverse`` reject a
 system whose reciprocal 1-norm condition number is below ``RCOND_MIN``.  The
 test is scale-free, so it holds for entries of any magnitude and any size.
-``solve`` estimates it with a probe column of its own added to the caller's.
+``solve`` estimates it with a probe column of its own added to the caller's,
+and ``inverse`` is ``solve`` against the identity.
 
-``eigenvalues`` and ``solve`` share one structural rule.  A matrix is
-*mirrored* when no entry couples an even index with an odd one and its odd
-half p = a[1::2, 1::2] equals D q D, with q = a[0::2, 0::2] and
+One structural rule holds at every size.  A matrix is *mirrored* when no
+entry couples an even index with an odd one and its odd half
+p = a[1::2, 1::2] equals D q D, with q = a[0::2, 0::2] and
 D = diag(1, -1, 1, ...), compared entry by entry with no tolerance.  Then
-only q is factored: the spectrum of p is that of q, and p x = b is
-q (D x) = D b.  Sign flips are exact, so this is no approximation, and one
-LAPACK call of order n/2 costs about an eighth of one of order n.  The
-paper's chain gives mirrored matrices in the interleaved (q, p) quadrature
-order -- its closed-loop A, static elimination matrix and resolvent
-i w I - A: its real routing never mixes q with p nor the a rail with the b
-rail, and its pump term ab + a^dag b^dag is unchanged by a -> i a,
-b -> -i b, which flips the b signs of the q half to give the p half.  Every
-other matrix, such as that of a real network that mixes the rails, takes
-the single dense call.  ``solve`` splits only systems of at least
-``_SPLIT_MIN_ENTRIES`` entries.
+only q is factored: ``solve`` (and so ``inverse``) solves q (D x) = D b for
+the odd rows in the same LAPACK call as the even ones, and ``eigenvalues``
+returns the spectrum of q twice.  Sign flips are exact, so this is no
+approximation, and one LAPACK call of order n/2 costs about an eighth of
+one of order n.  Every other matrix, and every stack with a member that is
+not mirrored, takes the single dense call.  The paper's chain gives mirrored matrices in the
+interleaved (q, p) quadrature order -- its closed-loop A, static
+elimination matrix and resolvent i w I - A: its real routing never mixes q
+with p nor the a rail with the b rail, and its pump term ab + a^dag b^dag
+is unchanged by a -> i a, b -> -i b, which flips the b signs of the q half
+to give the p half.
 
-The rule has a second step.  A q half of even order 2m that is
-centrosymmetric -- equal to J q J, with J the exchange matrix that reverses
-the order, again compared with no tolerance -- is split once more: with X =
-q[:m, :m] and Y J = q[:m, m:] with its columns reversed, q is orthogonally
-similar to diag(X + Y J, X - Y J), and the two halves of order m are
-factored as a stack of two in one LAPACK call, about a quarter of the work
-of q.  Forming the halves and reassembling the result round, so the last
-digits move, but an orthogonal similarity loses no accuracy.  On the chain,
-reversing the q half's indices swaps a_j with b_{N+1-j}: the a rail cascades
-forward and the b rail backward, and each pump couples a_j and b_j alike, so
-the chain reversed with its rails swapped is the same chain and all three
-of its matrices above pass the test.  Only a q half of at least
-``_SPLIT_MIN_ENTRIES`` entries per matrix is split this way.
-
-``inverse`` is one dense call on every matrix.  No production path inverts
-a chain matrix: the chain is a wiring network, whose loop follows its
-wires.  Only the oracle ``extract_uv`` does, as a cross-check.
+``eigenvalues`` alone takes a second step.  A q half of even order 2m that
+is centrosymmetric -- equal to J q J, with J the exchange matrix that
+reverses the order, again compared with no tolerance -- is orthogonally
+similar to diag(X + Y J, X - Y J), with X = q[:m, :m] and Y J = q[:m, m:]
+with its columns reversed, and the spectra of the two halves of order m
+come from one LAPACK call on a stack of two, about a quarter of the work of
+q.  Forming the halves rounds, so the last digits move, but an orthogonal
+similarity loses no accuracy.  On the chain, reversing the q half's indices
+swaps a_j with b_{N+1-j}: the a rail cascades forward and the b rail
+backward, and each pump couples a_j and b_j alike, so the chain reversed
+with its rails swapped is the same chain and its A passes the test.
 """
 
 from __future__ import annotations
@@ -54,19 +49,6 @@ from .errors import DimensionError, NumericalError, SingularMatrixError
 # A system whose reciprocal 1-norm condition estimate is below this counts as
 # singular: its solution has lost every significant digit.
 RCOND_MIN = 1e-14
-
-# ``solve`` factors only the even half of a mirrored system from this many
-# entries (a single matrix of order 64, or 64 of order 8): below it one LAPACK
-# call costs less than the parity checks and sign flips (crossover between
-# orders 44 and 64 for one matrix, measured at one BLAS thread).  A q half is
-# split at its reversal symmetry, by ``eigenvalues`` or ``solve``, only when
-# each of its matrices has this many entries (order 64, a chain of 32 NOPAs):
-# the two halves of a smaller one cost more to build and reassemble than
-# their factorisation saves, and a stack of small ones is slower in halves
-# (measured crossovers for q alone: eigenvalues about order 24, solve 100;
-# the one gate keeps one rule and costs ``solve`` about 10 us at orders 64
-# to 100).
-_SPLIT_MIN_ENTRIES = 64 * 64
 
 # the signs of X + Y J and X - Y J along the stacking axis of ``_centro_halves``
 _PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
@@ -89,23 +71,23 @@ def _require_square(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rcond(a: np.ndarray, x: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+def _rcond(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Reciprocal 1-norm condition estimate for each matrix of a stack.
 
     For solutions x of a x = b, ||a||_1 * max_j ||x_j||_1 / ||b_j||_1 is a
-    lower bound on cond_1(a), exact when b is the identity (``b=None``), so
+    lower bound on cond_1(a), exact when b holds the identity's columns, so
     the returned rcond is an upper bound.  A solution that is not finite
-    gives 0 or NaN, and NaN fails every comparison with ``RCOND_MIN``.
+    gives 0 or NaN, and NaN fails every comparison with ``RCOND_MIN``.  A
+    matrix of order 0 reads as perfectly conditioned.
     """
     # ufunc reductions: a transfer at one frequency is small enough for
     # call overhead to be a visible share of its time
     with np.errstate(all="ignore"):
         growth = np.add.reduce(np.abs(x), axis=-2)
-        if b is not None:
-            b_norms = np.add.reduce(np.abs(b), axis=-2)
-            b_norms[b_norms == 0] = np.inf  # a zero column of b bounds nothing
-            growth /= b_norms
-        a_norm = np.maximum.reduce(np.add.reduce(np.abs(a), axis=-2), axis=-1)
+        b_norms = np.add.reduce(np.abs(b), axis=-2)
+        b_norms[b_norms == 0] = np.inf  # a zero column of b bounds nothing
+        growth /= b_norms
+        a_norm = np.maximum.reduce(np.add.reduce(np.abs(a), axis=-2), axis=-1, initial=0.0)
         return 1.0 / (a_norm * np.maximum.reduce(growth, axis=-1))
 
 
@@ -125,7 +107,7 @@ def _raise_singular(a: np.ndarray, rcond: np.ndarray | None):
     )
 
 
-def _check_condition(a: np.ndarray, x: np.ndarray, b: np.ndarray | None = None):
+def _check_condition(a: np.ndarray, x: np.ndarray, b: np.ndarray):
     rcond = _rcond(a, x, b)
     if not (rcond >= RCOND_MIN).all():  # NaN fails too
         _raise_singular(a, rcond)
@@ -150,9 +132,8 @@ def solve(m, b) -> np.ndarray:
     no symmetry of any network, so only by accident is it orthogonal to a
     near-null direction that b does not see.  Only b's columns are returned.
 
-    A mirrored system (see the module docstring) of at least
-    ``_SPLIT_MIN_ENTRIES`` entries makes one solve of its even half q against
-    [b_even | D b_odd] for both halves, with x_odd = D times its second
+    A mirrored system (see the module docstring) makes one solve of its even
+    half q against [b_even | D b_odd], with x_odd = D times the second
     block.  Any other system takes the one dense call.  The condition check
     runs on the whole system.
     """
@@ -170,7 +151,7 @@ def solve(m, b) -> np.ndarray:
     if rhs.ndim < a.ndim:
         # a leading unit axis keeps b a stack of matrices for every numpy version
         rhs = rhs.reshape((1,) * (a.ndim - rhs.ndim) + rhs.shape)
-    q = _mirrored_half(a) if a.size >= _SPLIT_MIN_ENTRIES else None
+    q = _mirrored_half(a)
     try:
         x = np.linalg.solve(a, rhs) if q is None else _solve_mirrored(q, rhs)
     except np.linalg.LinAlgError:
@@ -185,27 +166,8 @@ def _solve_mirrored(q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     batch, (m, k) = rhs.shape[:-2], (q.shape[-1], rhs.shape[-1])
     signs = _d_signs(m)[1]  # D on the odd block
     both = rhs.reshape(batch + (m, 2, k)) * signs
-    y = _solve_half(q, both.reshape(batch + (m, 2 * k)))
+    y = np.linalg.solve(q, both.reshape(batch + (m, 2 * k)))
     return (y.reshape(y.shape[:-1] + (2, k)) * signs).reshape(y.shape[:-2] + (2 * m, k))
-
-
-def _solve_half(q: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve q y = c, through the halves of q if ``_centro_halves`` splits it.
-
-    With y+ and y- the solutions of the halves X +- Y J against c1 +- J c2,
-    y = [(y+ + y-) / 2, J (y+ - y-) / 2].
-    """
-    h = _centro_halves(q)
-    if h is None:
-        return np.linalg.solve(q, c)
-    m = h.shape[-1]
-    c1, jc2 = c[..., None, :m, :], c[..., None, m:, :][..., ::-1, :]
-    y = np.linalg.solve(h, c1 + _PLUS_MINUS * jc2) * 0.5
-    y_plus, y_minus = y[..., 0, :, :], y[..., 1, :, :]
-    x = np.empty(y.shape[:-3] + c.shape[-2:], dtype=y.dtype)
-    np.add(y_plus, y_minus, out=x[..., :m, :])
-    np.subtract(y_plus, y_minus, out=x[..., m:, :][..., ::-1, :])
-    return x
 
 
 def _mirrored_half(a: np.ndarray):
@@ -223,23 +185,18 @@ def _mirrored_half(a: np.ndarray):
 
 
 def _centro_halves(q: np.ndarray):
-    """The stack [X + Y J, X - Y J] of a large centrosymmetric q, else None.
+    """The stack [X + Y J, X - Y J] of a centrosymmetric matrix q, else None.
 
     q = [[X, Y], [J Y J, J X J]] of even order, with J the exchange matrix, is
     centrosymmetric: it equals J q J, q with its rows and columns reversed.
     The orthogonal matrix [[I, I], [J, -J]] / sqrt 2 takes it to
-    diag(X + Y J, X - Y J).  A stack qualifies only if every matrix does, and
-    only from ``_SPLIT_MIN_ENTRIES`` entries per matrix.  The test is exact,
-    like the mirror's.
+    diag(X + Y J, X - Y J).  The test is exact, like the mirror's.
     """
     n, m = q.shape[-1], q.shape[-1] // 2
-    if n % 2 or n * n < _SPLIT_MIN_ENTRIES:
-        return None
     # the top rows of q against those of J q J compare every pair once
-    if not (q[..., :m, :] == q[..., ::-1, ::-1][..., :m, :]).all():
+    if n % 2 or not (q[:m] == q[::-1, ::-1][:m]).all():
         return None
-    x, yj = q[..., None, :m, :m], q[..., None, :m, m:][..., ::-1]
-    return x + _PLUS_MINUS * yj
+    return q[:m, :m] + _PLUS_MINUS * q[:m, m:][:, ::-1]
 
 
 @lru_cache(maxsize=16)
@@ -259,17 +216,12 @@ def _d_signs(m: int):
 def inverse(m) -> np.ndarray:
     """Matrix inverse, rejecting inputs with rcond below ``RCOND_MIN``.
 
-    One dense call on the whole matrix, whatever its structure.  The inverse
-    gives the exact 1-norm condition number, so the check costs two
-    column-sum passes and no extra factorisation.
+    ``solve`` against the identity, so a mirrored matrix factors only its q
+    half, and the identity's columns make the condition check exact in the
+    1-norm.  The result is a C-contiguous array of its own.
     """
     a = _require_square(as_matrix(m))
-    try:
-        x = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        _raise_singular(a, None)
-    _check_condition(a, x)
-    return x
+    return np.ascontiguousarray(solve(a, np.eye(len(a))))
 
 
 def eigenvalues(m) -> np.ndarray:
@@ -277,8 +229,8 @@ def eigenvalues(m) -> np.ndarray:
 
     A mirrored matrix (see the module docstring) is similar to diag(q, q),
     so the spectrum of its even half q is computed once and returned twice;
-    a large centrosymmetric q gives the spectra of its two halves from one
-    call.  Any other matrix takes the one dense call.
+    a centrosymmetric q of even order gives the spectra of its two halves
+    from one call.  Any other matrix takes the one dense call.
     """
     a = _require_square(as_matrix(m))
     q = _mirrored_half(a)

@@ -180,13 +180,12 @@ def to_quadrature(s) -> np.ndarray:
 
 
 def _quadrature(a: np.ndarray) -> np.ndarray:
-    """The quadrature form of a checked unitary ``a``."""
+    """The quadrature form of a checked unitary ``a``, written row by row."""
     m = a.shape[0]
-    out = np.empty((2 * m, 2 * m))
-    out[0::2, 0::2] = out[1::2, 1::2] = a.real
-    out[0::2, 1::2] = -a.imag
-    out[1::2, 0::2] = a.imag
-    return out
+    rows = np.empty((m, 2, m), dtype=complex)  # rows 2i and 2i + 1, as (q, p) pairs
+    np.conjugate(a, out=rows[:, 0], dtype=complex)  # [Re s, -Im s], -0.0 for a real s too
+    rows[:, 1].real, rows[:, 1].imag = a.imag, a.real  # [Im s, Re s]
+    return rows.view(float).reshape(2 * m, 2 * m)
 
 
 def partition(s_quad) -> Blocks:

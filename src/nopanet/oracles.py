@@ -19,7 +19,7 @@ import numpy as np
 from . import dynamics
 from .closed_form import _require_chain, closed_form
 from .errors import DegenerateRecurrenceError, NumericalError, StructureError, WellPosednessError
-from .linalg import inverse
+from .linalg import solve
 from .network import NopaParams, PassiveNetwork, to_quadrature
 from .static_limit import (
     R,
@@ -152,10 +152,11 @@ def extract_uv(st: StaticTransfer):
     Requires a transfer built from the lossless chain topology: the first
     four columns of H must have the pattern
     [[u, 0, v, 0], [0, u, 0, -v], [v, 0, u, 0], [0, -v, 0, u]].
-    The pair is also recomputed from the first column of P, the inverse of
-    the chain's elimination matrix, which this function forms itself
-    (u = h1 p_{4N-3,1} + h2 p_{4N-1,1}, v = h1 p_{3,1} + h2 p_{1,1});
-    disagreement between the two readings is a hard error.
+    The pair is also recomputed from the first column p of P, the inverse
+    of the chain's elimination matrix E, which this function solves for as
+    E p = e_1 (u = h1 p_{4N-3,1} + h2 p_{4N-1,1},
+    v = h1 p_{3,1} + h2 p_{1,1}); disagreement between the two readings is
+    a hard error.
     """
     h = st.h_n[:, :4]
     u = h[0, 0]
@@ -175,10 +176,10 @@ def extract_uv(st: StaticTransfer):
         )
     if st.coeffs.big_k != 0 and np.max(np.abs(st.h_n[:, 4:])) > PATTERN_TOL:
         raise StructureError("(u, v) extraction requires the lossless case")
-    p = inverse(elimination_matrix(st.coeffs, PassiveNetwork.cfb(st.n_nopas)))
     n4 = 4 * st.n_nopas
-    u_p = st.coeffs.h1 * p[n4 - 4, 0] + st.coeffs.h2 * p[n4 - 2, 0]
-    v_p = st.coeffs.h1 * p[2, 0] + st.coeffs.h2 * p[0, 0]
+    p = solve(elimination_matrix(st.coeffs, PassiveNetwork.cfb(st.n_nopas)), np.eye(n4, 1))[:, 0]
+    u_p = st.coeffs.h1 * p[n4 - 4] + st.coeffs.h2 * p[n4 - 2]
+    v_p = st.coeffs.h1 * p[2] + st.coeffs.h2 * p[0]
     if abs(u - u_p) > UV_AGREEMENT_TOL * max(1.0, abs(u)) or abs(
         v - v_p
     ) > UV_AGREEMENT_TOL * max(1.0, abs(v)):
@@ -200,18 +201,20 @@ def is_l2_matrix(m, tol: float = 1e-10) -> bool:
 
     Blocks E_ij (2x2, 1-based block indices) must equal e_ij * I2 when i + j
     is even and e_ij * R when odd, and must satisfy the central symmetry
-    E_{i,j} = E_{2N+1-i,2N+1-j}.
+    E_{i,j} = E_{2N+1-i,2N+1-j}.  A matrix with a non-finite entry is not
+    in the class.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 4 != 0:
+        return False
+    if not np.isfinite(a).all():
         return False
     nb = a.shape[0] // 2  # = 2N blocks per side
     blocks = a.reshape(nb, 2, nb, 2).swapaxes(1, 2)
     tiles = _parity_tiles(nb)
     e = (blocks[..., 0, 0] + tiles[..., 1, 1] * blocks[..., 1, 1]) / 2.0
-    # maxima per block, not overall: a NaN entry then exempts only its own block
-    off_pattern = np.abs(blocks - e[..., None, None] * tiles).max(axis=(2, 3))
-    off_mirror = np.abs(blocks - blocks[::-1, ::-1]).max(axis=(2, 3))
+    off_pattern = np.abs(blocks - e[..., None, None] * tiles)
+    off_mirror = np.abs(blocks - blocks[::-1, ::-1])
     return not ((off_pattern > tol).any() or (off_mirror > tol).any())
 
 

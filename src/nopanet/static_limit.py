@@ -11,6 +11,7 @@ of the elimination matrix nor the block-diagonal I (x) W factors are formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,8 @@ def static_coefficients(x: float, y: float, big_k: float = 0.0) -> StaticCoeffic
         raise ValueError(f"x must be in [0, 1], got {x}")
     if not 0 < y <= 1:
         raise ValueError(f"y must be in (0, 1], got {y}")
-    if big_k < 0:
-        raise ValueError(f"K must be nonnegative, got {big_k}")
+    if not 0 <= big_k < math.inf:  # rejects NaN too
+        raise ValueError(f"K must be nonnegative and finite, got {big_k}")
     r = x * y
     h = scaled_response(r, big_k * r, 0.0)
     return StaticCoefficients(

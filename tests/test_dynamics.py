@@ -210,14 +210,19 @@ class TestWiringLoop:
         net = PassiveNetwork.from_complex(random_unitary(np.random.default_rng(n), 2 * (n + 1)))
         assert net.wiring is None
         p = NopaParams.from_normalized(0.002, 1.0, K_REF)
-        build_closed_loop(p, net)
-        assert lapack_calls == [("inv", (4 * n, 4 * n))]
+        literal = literal_closed_loop(p, net)
+        lapack_calls.clear()
+        ss = build_closed_loop(p, net)
+        assert lapack_calls == [("solve", (4 * n, 4 * n))]
+        # solve against the identity gives the bytes of the dense inverse
+        for got, want in zip((ss.a, ss.b, ss.c, ss.d), literal):
+            assert got.tobytes() == want.tobytes()
         stability(p, net)
-        assert lapack_calls[1:] == [("inv", (4 * n, 4 * n)), ("eigvals", (4 * n, 4 * n))]
+        assert lapack_calls[1:] == [("solve", (4 * n, 4 * n)), ("eigvals", (4 * n, 4 * n))]
 
 
 class TestMirroredCustomNetwork:
-    """A mirrored network that is not wiring inverts I - S22 with the one dense call."""
+    """A mirrored network that is not wiring inverts I - S22 with one solve on its q half."""
 
     @pytest.mark.parametrize("big_k", [0.0, K_REF])
     @pytest.mark.parametrize("n", [1, 2, 5, 33])
@@ -229,10 +234,28 @@ class TestMirroredCustomNetwork:
         assert net.wiring is None and linalg._mirrored_half(loop) is not None
         p = NopaParams.from_normalized(0.5 * math.tan(math.pi / (4 * n)), 1.0, big_k)
         ss = build_closed_loop(p, net)
-        assert lapack_calls == [("inv", loop.shape)]
+        assert lapack_calls == [("solve", (2 * n, 2 * n))]
         for got, want in zip((ss.a, ss.b, ss.c, ss.d), literal_closed_loop(p, net)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+class TestDriftLayout:
+    """``_drift`` writes A over L whatever the memory layout of L."""
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_fortran_ordered_loop_gives_the_same_bytes(self, n):
+        rng = np.random.default_rng(n)
+        p = NopaParams.from_normalized(0.05, 0.8, K_REF)
+        loop = rng.normal(size=(4 * n, 4 * n))
+        want = dynamics._drift(p, np.array(loop, order="C"))
+        fortran = np.array(loop, order="F")
+        got = dynamics._drift(p, fortran)
+        assert np.shares_memory(got, fortran) and got.tobytes() == want.tobytes()
+        # a strided view, as solve returns its first columns
+        wide = np.zeros((4 * n, 4 * n + 1))
+        wide[:, : 4 * n] = loop
+        assert dynamics._drift(p, wide[:, : 4 * n]).tobytes() == want.tobytes()
 
 
 class TestStability:

@@ -1,7 +1,6 @@
 """Kernel tests: every routine is checked against an independent oracle."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nopanet import K_REF, NopaParams, PassiveNetwork, build_closed_loop, linalg
+from nopanet.oracles import random_unitary
 from nopanet.static_limit import elimination_matrix, static_coefficients
 from nopanet.errors import DimensionError, SingularMatrixError
 
@@ -53,6 +53,23 @@ class TestInverse:
             linalg.inverse(m)
         assert err.value.rcond == pytest.approx(1e-15, rel=1e-12)
         assert err.value.index is None
+
+
+class TestOrderZero:
+    """A matrix of order 0 has an empty inverse, solution and spectrum."""
+
+    @pytest.mark.parametrize(
+        "routine,shape",
+        [
+            (lambda: linalg.solve(np.zeros((0, 0)), np.zeros((0, 2))), (0, 2)),
+            (lambda: linalg.solve(np.zeros((3, 0, 0)), np.zeros((0, 1))), (3, 0, 1)),
+            (lambda: linalg.inverse(np.zeros((0, 0))), (0, 0)),
+            (lambda: linalg.eigenvalues(np.zeros((0, 0))), (0,)),
+        ],
+        ids=["solve", "solve-stack", "inverse", "eigenvalues"],
+    )
+    def test_empty_result(self, routine, shape):
+        assert routine().shape == shape
 
 
 def with_condition(rng, n, cond):
@@ -175,7 +192,6 @@ def nearest_match_gap(got, ref):
     return worst
 
 
-@pytest.mark.usefixtures("split_every_system")
 class TestParitySplit:
     """A matrix that is not mirrored -- uncoupled or not -- takes the one dense call."""
 
@@ -294,19 +310,13 @@ def mirrored_solves(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def split_every_system(monkeypatch):
-    """Let ``solve`` split systems of any size, so small orders test the split."""
-    monkeypatch.setattr(linalg, "_SPLIT_MIN_ENTRIES", 0)
-
-
-def whole_matrix_rcond(m):
-    """The rcond of the whole matrix m and its dense inverse."""
-    return linalg._rcond(m, np.linalg.inv(m), None)
+def exact_rcond(m):
+    """1 / (||m||_1 ||m^-1||_1), the reciprocal 1-norm condition number itself."""
+    return 1.0 / (np.linalg.norm(m, 1) * np.linalg.norm(np.linalg.inv(m), 1))
 
 
 class TestMirroredCondition:
-    """``inverse`` checks a mirrored matrix's condition on the whole matrix and its dense inverse."""
+    """``inverse`` checks a mirrored matrix's condition on the whole matrix, not on q alone."""
 
     @pytest.mark.parametrize("order", [3, 8, 40])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -316,11 +326,12 @@ class TestMirroredCondition:
         if dtype is complex:
             q = q * np.exp(0.7j)  # a common phase keeps the condition number
         m = mirror_of(q)
-        expected = whole_matrix_rcond(m)
+        expected = exact_rcond(m)
         assert expected < linalg.RCOND_MIN
         with pytest.raises(SingularMatrixError) as err:
             linalg.inverse(m)
-        assert err.value.rcond == float(expected)
+        # the identity's columns make the estimate the exact 1-norm rcond
+        assert err.value.rcond == pytest.approx(expected, rel=1e-12)
         assert err.value.index is None
 
     @pytest.mark.parametrize("seed", range(6))
@@ -332,12 +343,12 @@ class TestMirroredCondition:
         checked = []
         check = linalg._check_condition
         monkeypatch.setattr(linalg, "_check_condition", lambda *a: checked.append(a) or check(*a))
-        linalg.inverse(m)
-        ((a, x),) = checked
-        assert a.tobytes() == m.tobytes() and x.tobytes() == np.linalg.inv(m).tobytes()
+        inv = linalg.inverse(m)
+        ((a, x, b),) = checked
+        assert a.tobytes() == m.tobytes()
+        assert x[:, :18].tobytes() == inv.tobytes() and np.array_equal(b[:, :18], np.eye(18))
 
 
-@pytest.mark.usefixtures("split_every_system")
 class TestMirror:
     """An odd half equal to D (even half) D is not factored a second time."""
 
@@ -407,28 +418,32 @@ class TestMirror:
         assert err.value.index == (1,)
 
 
-class TestSplitSize:
-    """``solve`` splits only systems large enough to repay the parity checks."""
+class TestOneRule:
+    """``solve`` factors the q half of every mirrored system, whatever its size."""
 
     @pytest.mark.parametrize(
-        "shape,splits",
-        [
-            ((8, 8), False),
-            ((62, 62), False),
-            ((64, 64), True),
-            ((63, 8, 8), False),
-            ((64, 8, 8), True),
-        ],
+        "shape",
+        [(4, 4), (8, 8), (40, 40), (512, 512), (6, 4, 4), (2, 3, 8, 8), (64, 8, 8), (3, 40, 40)],
     )
-    def test_split_starts_at_the_threshold(self, shape, splits, mirrored_solves):
-        m = mirrored(np.random.default_rng(103), shape[-1], float, shape[:-2])
-        linalg.solve(m, np.ones((shape[-1], 2)))
-        assert bool(mirrored_solves) == splits
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_lapack_solve_on_q(self, shape, dtype, lapack_calls):
+        rng = np.random.default_rng(shape[-1])
+        half = shape[-1] // 2
+        q = rng.normal(size=shape[:-2] + (half, half)) + 2.0 * math.sqrt(half) * np.eye(half)
+        if dtype is complex:
+            q = q + 1j * rng.normal(size=q.shape)
+        m = mirror_of(q)
+        b = rng.normal(size=(shape[-1], 3))
+        x = linalg.solve(m, b)
+        assert lapack_calls == [("solve", shape[:-2] + (half, half))]
+        dense = np.linalg.solve(m, np.broadcast_to(b, shape[:-2] + b.shape))
+        assert x.shape == dense.shape
+        assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
 
-    def test_small_system_is_solved_whole(self):
+    def test_small_system_factors_q(self):
         m = mirrored(np.random.default_rng(107), 8)
         b = np.random.default_rng(108).normal(size=(8, 3))
-        assert linalg.solve(m, b).tobytes() == dense_solve(m, b).tobytes()
+        assert linalg.solve(m, b).tobytes() == whole_q_solve(m, b).tobytes()
 
 
 def chain_matrices(n, x, y, big_k, omegas=(0.0,)):
@@ -489,9 +504,10 @@ def whole_q_solve(m, b):
 def assert_whole_q_calls(m, b, routines=("eigenvalues", "solve")):
     """Each routine on the mirrored m returns the bytes of one LAPACK call on its q half."""
     q = m[..., 0::2, 0::2]
-    assert linalg._mirrored_half(m) is not None and linalg._centro_halves(q) is None
+    assert linalg._mirrored_half(m) is not None
     for name in routines:
         if name == "eigenvalues":
+            assert linalg._centro_halves(q) is None
             got, want = linalg.eigenvalues(m), np.concatenate([np.linalg.eigvals(q)] * 2)
         else:
             got, want = linalg.solve(m, b), whole_q_solve(m, b)
@@ -510,13 +526,15 @@ def lapack_calls(monkeypatch):
 
 
 class TestCentroSplit:
-    """The chain's q half maps onto itself when the chain is reversed and a swaps with b."""
+    """The chain's q half maps onto itself when the chain is reversed and a swaps with b;
+    ``eigenvalues`` splits it, and ``solve`` factors it whole."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 128])
-    def test_chain_q_halves_are_centrosymmetric(self, n, split_every_system):
-        for m in chain_matrices(n, stable_x(n, 1.0, K_REF, 0.5), 1.0, K_REF, (0.0, 0.3)):
-            for a in (m, np.swapaxes(m, -1, -2)):
-                assert linalg._centro_halves(linalg._mirrored_half(a)) is not None
+    def test_chain_q_halves_are_centrosymmetric(self, n):
+        a, e, resolvents = chain_matrices(n, stable_x(n, 1.0, K_REF, 0.5), 1.0, K_REF, (0.0, 0.3))
+        for m in (a, e, *resolvents):
+            for t in (m, m.T):
+                assert linalg._centro_halves(linalg._mirrored_half(t)) is not None
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -529,54 +547,50 @@ class TestCentroSplit:
     def test_split_matches_the_whole_matrix(self, n, fraction, y, big_k, omegas):
         a, e, resolvents = chain_matrices(n, stable_x(n, y, big_k, fraction), y, big_k, omegas)
         b = np.random.default_rng(n).normal(size=(4 * n, 3))
-        with mock.patch.object(linalg, "_SPLIT_MIN_ENTRIES", 0):
-            assert spectral_gap(linalg.eigenvalues(a), np.linalg.eigvals(a)) < 1e-12
-            for m in (e.T, np.swapaxes(resolvents, -1, -2)):
-                x = linalg.solve(m, b)
-                ref = np.linalg.solve(m, np.broadcast_to(b, m.shape[:-2] + b.shape))
-                assert np.max(np.abs(x - ref)) < 1e-12 * np.max(np.abs(ref))
-                residual = np.max(np.abs(m @ x - b))
-                assert residual <= max(1e-12, 10 * np.max(np.abs(m @ ref - b)))
+        assert spectral_gap(linalg.eigenvalues(a), np.linalg.eigvals(a)) < 1e-12
+        for m in (e.T, np.swapaxes(resolvents, -1, -2)):
+            x = linalg.solve(m, b)
+            ref = np.linalg.solve(m, np.broadcast_to(b, m.shape[:-2] + b.shape))
+            assert np.max(np.abs(x - ref)) < 1e-12 * np.max(np.abs(ref))
+            residual = np.max(np.abs(m @ x - b))
+            assert residual <= max(1e-12, 10 * np.max(np.abs(m @ ref - b)))
 
     def test_one_lapack_call_on_a_stack_of_two_halves(self, lapack_calls):
-        n = 32  # the smallest chain whose q half has _SPLIT_MIN_ENTRIES entries
-        a, e, resolvents = chain_matrices(n, stable_x(n, 1.0, K_REF, 0.5), 1.0, K_REF, (0.1,))
-        linalg.eigenvalues(a)
-        linalg.solve(e.T, np.ones((4 * n, 4)))
-        linalg.solve(np.swapaxes(resolvents, -1, -2), np.ones((4 * n, 4)))
-        assert lapack_calls == [
-            ("eigvals", (2, n, n)),
-            ("solve", (2, n, n)),
-            ("solve", (1, 2, n, n)),
-        ]
+        # eigenvalues splits the chain's A at every size; solve factors q whole
+        for n in (1, 2, 5, 16, 31, 128):
+            a, e, resolvents = chain_matrices(n, stable_x(n, 1.0, K_REF, 0.5), 1.0, K_REF, (0.1,))
+            lapack_calls.clear()
+            evs = linalg.eigenvalues(a)
+            linalg.solve(e.T, np.ones((4 * n, 4)))
+            linalg.solve(np.swapaxes(resolvents, -1, -2), np.ones((4 * n, 4)))
+            assert lapack_calls == [
+                ("eigvals", (2, n, n)),
+                ("solve", (2 * n, 2 * n)),
+                ("solve", (1, 2 * n, 2 * n)),
+            ]
+            assert spectral_gap(evs, np.linalg.eigvals(a)) <= 1e-13
 
-    def test_split_starts_at_the_threshold(self, lapack_calls):
-        for n, shape in ((31, (62, 62)), (32, (2, 32, 32))):
-            a = chain_matrices(n, stable_x(n, 1.0, K_REF, 0.5), 1.0, K_REF)[0]
-            linalg.eigenvalues(a)
-            assert lapack_calls.pop() == ("eigvals", shape)
-
-    def test_mirrored_but_not_centrosymmetric(self, split_every_system):
+    def test_mirrored_but_not_centrosymmetric(self):
         rng = np.random.default_rng(211)
         for dtype in (float, complex):
             q = centro(rng, 8, dtype)
             q[1, 2] += 0.5  # its partner q[6, 5] keeps the old value
             assert_whole_q_calls(mirror_of(q), rng.normal(size=(16, 3)))
 
-    def test_odd_order_centrosymmetric(self, split_every_system):
+    def test_odd_order_centrosymmetric(self):
         rng = np.random.default_rng(223)
         q = centro(rng, 7)
         assert (q == q[::-1, ::-1]).all()
         assert_whole_q_calls(mirror_of(q), rng.normal(size=(14, 2)))
 
-    def test_stack_with_one_centrosymmetric_member(self, split_every_system):
+    def test_stack_with_one_centrosymmetric_member(self):
         rng = np.random.default_rng(227)
         q = rng.normal(size=(3, 6, 6)) + 4.0 * np.eye(6)
         q[1] = centro(rng, 6)
         assert linalg._centro_halves(q[1]) is not None
         assert_whole_q_calls(mirror_of(q), rng.normal(size=(12, 2)), ["solve"])
 
-    def test_singular_half_raises(self, split_every_system):
+    def test_singular_half_raises(self):
         # X + Y J = [[1, 2], [2, 4]] is singular, X - Y J = I is not
         x, yj = np.array([[1.0, 1.0], [1.0, 2.5]]), np.array([[0.0, 1.0], [1.0, 1.5]])
         q = np.block([[x, yj[:, ::-1]], [yj[::-1], x[::-1, ::-1]]])
@@ -590,7 +604,7 @@ class TestCentroSplit:
 
 
 class TestSingleInverse:
-    """``inverse`` is one dense call on the whole matrix, whatever its structure."""
+    """``inverse`` is ``solve`` against the identity: one LAPACK solve, on q if the matrix is mirrored."""
 
     @staticmethod
     def structured(rng, dtype):
@@ -603,21 +617,33 @@ class TestSingleInverse:
         stack = mirror_of(cast(rng.normal(size=(3, 5, 5)) + 3.0 * np.eye(5)))
         return [mirror_of(q), mirror_of(c), mirror_of(mirror_of(q)), *stack]
 
+    @staticmethod
+    def check_q_inverse(m, lapack_calls):
+        """``inverse`` of the mirrored m: one solve on q, close to the dense inverse, C-contiguous."""
+        assert linalg._mirrored_half(m) is not None
+        lapack_calls.clear()
+        got = linalg.inverse(m)
+        half = m.shape[-1] // 2
+        assert lapack_calls == [("solve", (half, half))]
+        want = np.linalg.inv(m)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_structured_matrices_return_the_dense_bytes(self, dtype, lapack_calls, split_every_system):
+    def test_structured_matrices_solve_q_once(self, dtype, lapack_calls):
         for m in self.structured(np.random.default_rng(229), dtype):
-            assert linalg._mirrored_half(m) is not None
-            lapack_calls.clear()
-            got = linalg.inverse(m)
-            assert lapack_calls == [("inv", m.shape)]
-            want = np.linalg.inv(m)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            self.check_q_inverse(m, lapack_calls)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 10, 32])
     def test_chain_elimination_matrix(self, n, lapack_calls):
-        # the oracle ``extract_uv`` inverts this mirrored matrix
         e = chain_matrices(n, stable_x(n, 1.0, 0.0, 0.5), 1.0, 0.0)[1]
-        assert linalg._mirrored_half(e) is not None
-        got = linalg.inverse(e)
-        assert lapack_calls == [("inv", e.shape)]
-        assert got.tobytes() == np.linalg.inv(e).tobytes()
+        self.check_q_inverse(e, lapack_calls)
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 33])
+    def test_complex_unitary_loop_is_the_dense_inverse(self, n, lapack_calls):
+        s = random_unitary(np.random.default_rng(n), 2 * (n + 1))
+        loop = np.eye(4 * n) - PassiveNetwork.from_complex(s).blocks.s22
+        got = linalg.inverse(loop)
+        assert lapack_calls == [("solve", loop.shape)]
+        want = np.linalg.inv(loop)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()

@@ -1,5 +1,6 @@
 """Static-limit tests: transfer assembly, the L-pattern algebra, u/v extraction."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from nopanet import (
     PassiveNetwork,
     extract_uv,
     is_l2_matrix,
+    oracles,
     random_l2_matrix,
     stability,
     static_coefficients,
@@ -19,6 +21,7 @@ from nopanet.errors import PoleError, StructureError, WellPosednessError
 from nopanet.linalg import inverse
 from nopanet.network import K_REF
 from nopanet.static_limit import R, _blockwise, elimination_matrix, w_blocks
+from tests.test_linalg import lapack_calls  # noqa: F401 (a fixture)
 from tests.test_network import random_unitary
 
 
@@ -78,6 +81,15 @@ class TestStaticCoefficients:
     def test_rejects_bad_parameters(self, x, y, k):
         with pytest.raises(ValueError):
             static_coefficients(x, y, k)
+
+    @pytest.mark.parametrize("k", [math.inf, math.nan])
+    def test_non_finite_k_rejected_as_from_normalized(self, k):
+        # NaN coefficients would pass on to a false verdict downstream
+        with pytest.raises(ValueError) as ours:
+            static_coefficients(0.1, 1.0, k)
+        with pytest.raises(ValueError) as params:
+            NopaParams.from_normalized(0.1, 1.0, k)
+        assert str(ours.value) == str(params.value)
 
 
 class TestStaticTransfer:
@@ -196,6 +208,13 @@ class TestIsL2Matrix:
         assert not is_l2_matrix(np.eye(6))
         assert not is_l2_matrix(np.ones((8, 4)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fails(self, value):
+        assert not is_l2_matrix(np.full((4, 4), value))
+        a = np.eye(8)
+        a[1, 1] = value  # one entry, which the other blocks would not see
+        assert not is_l2_matrix(a)
+
 
 class TestL2Closure:
     def test_product_closure(self):
@@ -244,6 +263,23 @@ class TestExtractUv:
         st = static_transfer(static_coefficients(0.1, 1.0, big_k=0.05), PassiveNetwork.cfb(2))
         with pytest.raises(StructureError):
             extract_uv(st)
+
+    @pytest.mark.parametrize("n", [2, 10, 40])
+    def test_one_column_from_one_q_half_solve(self, n, lapack_calls, monkeypatch):
+        coeffs = static_coefficients(0.5 * math.tan(math.pi / (4 * n)), 1.0)
+        st = static_transfer(coeffs, PassiveNetwork.cfb(n))
+        columns = []
+        solve = oracles.solve
+        monkeypatch.setattr(oracles, "solve", lambda *a: columns.append(solve(*a)) or columns[-1])
+        lapack_calls.clear()
+        extract_uv(st)
+        assert lapack_calls == [("solve", (2 * n, 2 * n))]
+        # u_p and v_p as the whole inverse gave them
+        ((p,),) = (c.T for c in columns)
+        whole = np.linalg.inv(elimination_matrix(coeffs, PassiveNetwork.cfb(n)))[:, 0]
+        for rows in ((4 * n - 4, 4 * n - 2), (2, 0)):
+            got, want = (coeffs.h1 * c[rows[0]] + coeffs.h2 * c[rows[1]] for c in (p, whole))
+            assert abs(got - want) <= 1e-14 * abs(want)
 
 
 class TestLossyStabilityInvertibility:
