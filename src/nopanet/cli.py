@@ -197,11 +197,15 @@ def _thetas_from_config(cfg: dict, view: dict, net: PassiveNetwork):
 
 
 def _write(out, text: str):
+    """Write ``text`` to the path ``out``, or to stdout when it is None."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as f:
             f.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def _csv(rows: list[dict]) -> str:
@@ -308,6 +312,8 @@ def cmd_compare(args) -> int:
         except KeyError as exc:
             raise ConfigError(f"compare config needs x_ref (or preset): {exc}") from exc
         n_ref = _number(cfg.get("n_ref", 10), "n_ref", int)
+        if n_ref < 1:  # x_n = sqrt(n_ref / n) x_ref: 0 switches every pump off
+            raise ConfigError(f"n_ref must be at least 1, got {n_ref}")
     y = _number(cfg.get("y", 1.0), "y")
     n_min = _number(cfg.get("n_min", 2), "n_min", int)
     n_max = _number(cfg.get("n_max", n_ref), "n_max", int)
@@ -384,8 +390,7 @@ def cmd_verify(args) -> int:
             "extra_failures": extra_failures,
         }
         replay_path = args.out or "verify-failure.json"
-        with open(replay_path, "w") as f:
-            json.dump(replay, f, indent=2, sort_keys=True)
+        _write(replay_path, json.dumps(replay, indent=2, sort_keys=True))
         lines.append(f"replay: {replay_path}")
         sys.stdout.write("\n".join(lines) + "\n")
         return EXIT_VERIFY

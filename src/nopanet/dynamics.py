@@ -4,11 +4,18 @@ State vector: the 4N cavity quadratures [q_a1, p_a1, q_b1, p_b1, ...].
 Input vector: the 4 external vacuum quadratures followed by the 4N loss
 quadratures.  Output vector: the 4 quadratures of the two external fields.
 
-Closing the loop takes L = (I - S22)^{-1}.  A wiring network (a 0/1
-permutation, such as the paper's chain; see ``network``) gets L by following
-its wires, exactly and with no LAPACK call; every other network inverts
-I - S22.  ``stability`` builds only the drift A, over L itself, and
-``build_closed_loop`` gives the same A together with B, C and D.
+Closing the loop takes L = (I - S22)^{-1}.  The paper's chain has it in
+closed form from its two rails (``_chain_reach``), with no LAPACK call;
+every other network inverts I - S22.  ``build_closed_loop`` gives A, B, C
+and D, and ``stability`` builds only the drift A, over L itself.
+
+On the chain ``stability`` builds only A's q half, of order 2N: A never
+mixes q with p, and its p half has the q half's spectrum (see ``linalg``).
+Reversed, with its rails swapped (a_j <-> b_{N+1-j}), the chain is the
+same chain, since each pump couples a_j and b_j alike.  So the q half is
+[[X, Y], [J Y J, J X J]], with J the exchange matrix, and the orthogonal
+[[I, I], [J, -J]] / sqrt 2 takes it to diag(X + Y J, X - Y J): the spectra
+of two matrices of order N from one LAPACK call, with no loss of accuracy.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from .errors import (
     StabilityError,
     WellPosednessError,
 )
-from .linalg import RCOND_MIN, eigenvalues, inverse, solve
-from .network import NopaParams, PassiveNetwork
+from .linalg import eigenvalues, inverse, solve
+from .network import NopaParams, PassiveNetwork, _cfb_wiring
 
 
 @dataclass(frozen=True)
@@ -86,87 +93,83 @@ def build_closed_loop(p: NopaParams, net: PassiveNetwork) -> StateSpace:
     b = np.hstack([-sg * loop @ s21, -sk * np.eye(4 * n)])
     c = sg * s12 @ loop
     d = np.hstack([s11 + s12 @ loop @ s21, np.zeros((4, 4 * n))])
-    return StateSpace(a=_drift(p, loop), b=b, c=c, d=d)  # A last: it is written over L
+    # A last: it is written over L
+    return StateSpace(a=_drift(loop, p.gamma, build_a1(p)), b=b, c=c, d=d)
 
 
 def stability(p: NopaParams, net: PassiveNetwork) -> StabilityReport:
     """Hurwitz verdict for the closed loop, with the full spectrum attached.
 
-    Only the drift A of ``build_closed_loop`` is built, with the same bytes,
-    in the memory of the loop inverse it is made from.
+    Only the drift A of ``build_closed_loop`` is built, with its bytes, over
+    L; on the chain only A's q half, split in two (module docstring).
     """
-    spec = eigenvalues(_drift(p, _loop(net)))
+    if _is_chain(net):
+        n = net.n_nopas
+        q = _drift(_chain_reach(n), p.gamma, build_a1(p)[0::2, 0::2])
+        x, yj = q[:n, :n], q[:n, n:][:, ::-1]
+        spec = np.concatenate([eigenvalues(np.stack([x + yj, x - yj])).reshape(-1)] * 2)
+    else:
+        spec = eigenvalues(_drift(_loop(net), p.gamma, build_a1(p)))
     abscissa = float(np.max(spec.real))
     return StabilityReport(
         stable=bool(abscissa < 0), eigenvalues=spec, spectral_abscissa=abscissa
     )
 
 
+def _is_chain(net: PassiveNetwork) -> bool:
+    """True when ``net`` is wired as ``PassiveNetwork.cfb(net.n_nopas)``."""
+    return net.wiring is not None and np.array_equal(net.wiring, _cfb_wiring(net.n_nopas))
+
+
 def _loop(net: PassiveNetwork) -> np.ndarray:
     """L = (I - S22)^{-1}, or ``WellPosednessError`` if I - S22 is singular.
 
-    A wiring network follows its wires (``_wiring_loop``); every other
-    network inverts I - S22.
+    The chain's L holds ``_chain_reach`` on its q and on its p rows.
     """
+    n = net.n_nopas
+    if _is_chain(net):
+        loop = np.zeros((4 * n, 4 * n))
+        loop[0::2, 0::2] = loop[1::2, 1::2] = _chain_reach(n)
+        return loop
     try:
-        if net.wiring is None:
-            return inverse(np.eye(4 * net.n_nopas) - net.blocks.s22)
-        return _wiring_loop(net.wiring, net.n_nopas)
+        return inverse(np.eye(4 * n) - net.blocks.s22)
     except SingularMatrixError as exc:
         raise WellPosednessError(
             f"closed loop is ill-posed: I - S22 is singular ({exc})"
         ) from exc
 
 
-def _wiring_loop(wiring: np.ndarray, n: int) -> np.ndarray:
-    """(I - S22)^{-1} of a wiring network, from its permutation, with no LAPACK call.
+def _chain_reach(n: int) -> np.ndarray:
+    """The chain's (I - S22)^{-1} on its 2N ports, NOPA i's a port at 2i and b port at 2i + 1.
 
-    Each port's output is wired to one input, so S22 has at most one 1 per
-    row and column.  A path of wires starts at each external input and ends
-    at an external output; when every port lies on one of the two, S22 is
-    nilpotent and L is the finite sum of its powers: entry (i, j) is 1 when
-    a signal leaving port j reaches port i (j itself included), else 0, so
-    the ports of a path, in its order, take a lower triangle of ones.  A
-    port on no path lies on a closed cycle of wires, where I - S22 is
-    exactly singular: the rcond-0 error of ``inverse``.  The quadrature form
-    holds the complex one twice, on the q and on the p rows.
+    S22 moves a signal one NOPA on along the a rail or one back along the b
+    rail, so L, the sum of its powers, is 1 where a signal leaving port j
+    reaches port i (j included): a_i from a_j for i >= j, b_i from b_j for
+    i <= j.
     """
-    ports = 2 * n
-    succ = wiring.tolist()  # indices of S: 0 and 1 external, 2 + k port k
-    reach = np.zeros((ports, ports))
-    on_paths = 0
-    for port in succ[:2]:
-        path = []
-        while port >= 2:
-            path.append(port - 2)
-            port = succ[port]
-        reach[np.ix_(path, path)] = np.tri(len(path))
-        on_paths += len(path)
-    if on_paths < ports:
-        raise SingularMatrixError(
-            f"matrix is singular: rcond = {0.0:.3e} < {RCOND_MIN:g}", rcond=0.0
-        )
-    loop = np.zeros((2 * ports, 2 * ports))
-    loop[0::2, 0::2] = loop[1::2, 1::2] = reach
-    return loop
+    reach = np.zeros((2 * n, 2 * n))
+    reach[0::2, 0::2] = np.tri(n)
+    reach[1::2, 1::2] = np.tri(n).T
+    return reach
 
 
-def _drift(p: NopaParams, loop: np.ndarray) -> np.ndarray:
-    """A = I (x) A1 + gamma (I - L), written over L = ``loop`` and returned.
+def _drift(loop: np.ndarray, gamma: float, a1: np.ndarray) -> np.ndarray:
+    """gamma (I - L) plus ``a1`` on each diagonal block, written over L = ``loop`` and returned.
 
-    With L = (I - S22)^{-1}, L S22 = L - I.  The operations are those of
-    the formula, entry by entry, so A has its bytes: 0 - L off the diagonal
-    and (0 - L) + 1 = 1 - L on it, times gamma, then A1 added to each
-    diagonal block (off them, I (x) A1 holds signed zeros, which leave
-    gamma (I - L) as it is).  Every write indexes L itself, so L may have
-    any memory layout.
+    With L = (I - S22)^{-1} and a1 = ``build_a1``, this is the drift
+    A = I (x) A1 + gamma (I - L), as L S22 = L - I, and with their q halves
+    it is A's q half.  The operations are those of the formula, entry by
+    entry, so A has its bytes: 0 - L off the diagonal and (0 - L) + 1 on it,
+    times gamma, then a1 added to each diagonal block (off them, I (x) A1
+    holds signed zeros, which leave gamma (I - L) as it is).  Every write
+    indexes L itself, so L may have any memory layout.
     """
     a = np.subtract(0.0, loop, out=loop)
     diagonal = np.arange(a.shape[0])
     a[diagonal, diagonal] += 1.0
-    a *= p.gamma
-    block = diagonal.reshape(-1, 4)  # the indices of each NOPA's 4 x 4 diagonal block
-    a[block[:, :, None], block[:, None, :]] += build_a1(p)
+    a *= gamma
+    block = diagonal.reshape(-1, len(a1))  # the indices of each NOPA's diagonal block
+    a[block[:, :, None], block[:, None, :]] += a1
     return a
 
 

@@ -17,24 +17,12 @@ the odd rows in the same LAPACK call as the even ones, and ``eigenvalues``
 returns the spectrum of q twice.  Sign flips are exact, so this is no
 approximation, and one LAPACK call of order n/2 costs about an eighth of
 one of order n.  Every other matrix, and every stack with a member that is
-not mirrored, takes the single dense call.  The paper's chain gives mirrored matrices in the
-interleaved (q, p) quadrature order -- its closed-loop A, static
-elimination matrix and resolvent i w I - A: its real routing never mixes q
-with p nor the a rail with the b rail, and its pump term ab + a^dag b^dag
-is unchanged by a -> i a, b -> -i b, which flips the b signs of the q half
-to give the p half.
-
-``eigenvalues`` alone takes a second step.  A q half of even order 2m that
-is centrosymmetric -- equal to J q J, with J the exchange matrix that
-reverses the order, again compared with no tolerance -- is orthogonally
-similar to diag(X + Y J, X - Y J), with X = q[:m, :m] and Y J = q[:m, m:]
-with its columns reversed, and the spectra of the two halves of order m
-come from one LAPACK call on a stack of two, about a quarter of the work of
-q.  Forming the halves rounds, so the last digits move, but an orthogonal
-similarity loses no accuracy.  On the chain, reversing the q half's indices
-swaps a_j with b_{N+1-j}: the a rail cascades forward and the b rail
-backward, and each pump couples a_j and b_j alike, so the chain reversed
-with its rails swapped is the same chain and its A passes the test.
+not mirrored, takes the single dense call.  The paper's chain gives
+mirrored matrices in the interleaved (q, p) quadrature order -- its
+closed-loop A, static elimination matrix and resolvent i w I - A: its real
+routing never mixes q with p nor the a rail with the b rail, and its pump
+term ab + a^dag b^dag is unchanged by a -> i a, b -> -i b, which flips the
+b signs of the q half to give the p half.
 """
 
 from __future__ import annotations
@@ -50,10 +38,6 @@ from .errors import DimensionError, NumericalError, SingularMatrixError
 # singular: its solution has lost every significant digit.
 RCOND_MIN = 1e-14
 
-# the signs of X + Y J and X - Y J along the stacking axis of ``_centro_halves``
-_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
-_PLUS_MINUS.setflags(write=False)
-
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-d ndarray and check finiteness."""
@@ -68,6 +52,13 @@ def as_matrix(m) -> np.ndarray:
 def _require_square(a: np.ndarray) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _square_stack(m) -> np.ndarray:
+    a = np.asarray(m)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     return a
 
 
@@ -137,10 +128,8 @@ def solve(m, b) -> np.ndarray:
     block.  Any other system takes the one dense call.  The condition check
     runs on the whole system.
     """
-    a = np.asarray(m)
+    a = _square_stack(m)
     rhs = np.asarray(b)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if rhs.ndim < 2 or rhs.shape[-2] != a.shape[-1]:
         raise DimensionError(f"right-hand side of shape {rhs.shape} does not fit {a.shape}")
     n, k = rhs.shape[-2:]
@@ -184,21 +173,6 @@ def _mirrored_half(a: np.ndarray):
     return q if q.shape == p.shape and (q == p * _d_signs(q.shape[-1])[0]).all() else None
 
 
-def _centro_halves(q: np.ndarray):
-    """The stack [X + Y J, X - Y J] of a centrosymmetric matrix q, else None.
-
-    q = [[X, Y], [J Y J, J X J]] of even order, with J the exchange matrix, is
-    centrosymmetric: it equals J q J, q with its rows and columns reversed.
-    The orthogonal matrix [[I, I], [J, -J]] / sqrt 2 takes it to
-    diag(X + Y J, X - Y J).  The test is exact, like the mirror's.
-    """
-    n, m = q.shape[-1], q.shape[-1] // 2
-    # the top rows of q against those of J q J compare every pair once
-    if n % 2 or not (q[:m] == q[::-1, ::-1][:m]).all():
-        return None
-    return q[:m, :m] + _PLUS_MINUS * q[:m, m:][:, ::-1]
-
-
 @lru_cache(maxsize=16)
 def _d_signs(m: int):
     """Sign patterns of D = diag(1, -1, 1, ...) of order m.
@@ -225,20 +199,21 @@ def inverse(m) -> np.ndarray:
 
 
 def eigenvalues(m) -> np.ndarray:
-    """Full complex spectrum of a square matrix, multiplicities included.
+    """Full complex spectrum of a square matrix or of each matrix of a stack, ``(..., n, n)``.
 
-    A mirrored matrix (see the module docstring) is similar to diag(q, q),
-    so the spectrum of its even half q is computed once and returned twice;
-    a centrosymmetric q of even order gives the spectra of its two halves
-    from one call.  Any other matrix takes the one dense call.
+    Multiplicities are included, and a stack gives one row of n eigenvalues
+    per matrix.  A mirrored matrix (see the module docstring) is similar to
+    diag(q, q), so the spectrum of its even half q is computed once and
+    returned twice.  Any other matrix, and any stack with a member that is
+    not mirrored, takes the one dense call.
     """
-    a = _require_square(as_matrix(m))
+    a = _square_stack(m)
+    if not np.all(np.isfinite(a)):
+        raise DimensionError("matrix contains non-finite entries")
     q = _mirrored_half(a)
     try:
         if q is None:
             return np.linalg.eigvals(a)
-        h = _centro_halves(q)
-        half = np.linalg.eigvals(q) if h is None else np.linalg.eigvals(h).reshape(-1)
-        return np.concatenate([half] * 2)
+        return np.concatenate([np.linalg.eigvals(q)] * 2, axis=-1)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc

@@ -10,9 +10,9 @@ A *wiring network* is pure wiring: its S is a 0/1 permutation, as the
 paper's chain is, each port wired to exactly one other.  Such an S is
 unitary exactly when each row and each column holds one 1, which is decided
 in O(m^2) from the entries, with no S*S product; ``PassiveNetwork`` keeps
-the permutation it found (``wiring``), so later layers follow the wires
-rather than test the entries again.  Every other matrix, real or complex,
-takes the one product S*S.
+the permutation it found (``wiring``), so that the chain is recognised by
+comparing it with the chain's own in O(N).  Every other matrix, real or
+complex, takes the one product S*S.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -97,18 +98,30 @@ def cfb_topology(n: int) -> np.ndarray:
     as output 1), the b-outputs cascade backward (NOPA i feeds NOPA i-1, the
     first one exits as output 2), and the two vacuum inputs enter the a-port
     of NOPA 1 and the b-port of NOPA N.  The result is a 0/1 permutation
-    matrix of size 2(n+1), hence exactly unitary.
+    matrix of size 2(n+1), hence exactly unitary: the 1 of column j sits in
+    row ``_cfb_wiring(n)[j]``.
     """
     if n < 1:
         raise DimensionError(f"need at least one NOPA, got n={n}")
-    # rows: outputs 1, 2, then each NOPA's (a, b) inputs; columns: inputs 1, 2,
-    # then each NOPA's (a, b) outputs
     s = np.zeros((2 * (n + 1), 2 * (n + 1)), dtype=complex)
-    k = 2 * np.arange(n)
-    s[k + 2, k] = 1.0  # input 1, then each a output, into the next NOPA's a port
-    s[k + 1, k + 3] = 1.0  # each b output into the previous NOPA's b port, the first to output 2
-    s[0, 2 * n] = s[2 * n + 1, 1] = 1.0  # last a output to output 1; input 2 to NOPA N's b port
+    s[_cfb_wiring(n), np.arange(2 * (n + 1))] = 1.0
     return s
+
+
+@lru_cache(maxsize=16)
+def _cfb_wiring(n: int) -> np.ndarray:
+    """The chain's permutation, read-only, as ``PassiveNetwork.wiring`` holds it.
+
+    Input 1 and each a output (the even columns) feed the next even row, the
+    last a output wrapping round to output 1; input 2 and each b output (the
+    odd columns) feed the previous odd row, input 2 wrapping round to NOPA
+    N's b port.
+    """
+    wiring = np.arange(2 * (n + 1))
+    wiring[0::2] = np.roll(wiring[0::2], -1)
+    wiring[1::2] = np.roll(wiring[1::2], 1)
+    wiring.setflags(write=False)
+    return wiring
 
 
 def _wiring(a: np.ndarray):

@@ -24,6 +24,7 @@ from nopanet import (
 from nopanet.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, EXIT_VERIFY, main
 from nopanet.errors import WellPosednessError
 from nopanet.oracles import random_unitary
+from tests.test_dynamics import crossed_wiring
 
 
 def write_json(path, doc):
@@ -556,6 +557,8 @@ class TestConfigValues:
             ("theorem", '{"params": {"epsilon": 1.0, "gamma": 1e400}, "n_nopas": 2}'),
             ("stability", '{"params": {"epsilon": 1.0, "gamma": 1e400}, "n_nopas": 2}'),
             ("stability", '{"params": {"x": 0.1, "y": 1.0, "gamma_r": 1e400}, "n_nopas": 2}'),
+            ("compare", '{"x_ref": 0.1, "n_ref": 0, "n_max": 4}'),
+            ("compare", '{"x_ref": 0.1, "n_ref": -4, "n_max": 4}'),
         ],
         ids=[
             "x-list",
@@ -570,6 +573,8 @@ class TestConfigValues:
             "theorem-gamma-inf",
             "stability-gamma-inf",
             "stability-gamma_r-inf",
+            "n_ref-zero",
+            "n_ref-negative",
         ],
     )
     def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, text):
@@ -580,6 +585,40 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("config error")
         assert "Traceback" not in err
+        if "n_ref" in text:
+            assert "n_ref must be at least 1" in err
+            assert not (tmp_path / "out").exists()
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written is a config error naming the path, not a traceback."""
+
+    @staticmethod
+    def assert_cannot_write(capsys, argv, path):
+        assert main([*argv, "--out", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: cannot write {path}: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["compare", "theorem", "spectrum", "stability"])
+    def test_table_into_a_missing_directory(self, tmp_path, capsys, command):
+        cfg = {"preset": "x10-text"} if command == "compare" else {
+            "params": {"x": 0.05, "y": 1.0},
+            "n_nopas": 2,
+            "omega_grid": {"values": [0.0, 1e7]},
+        }
+        argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg)]
+        self.assert_cannot_write(capsys, argv, tmp_path / "missing" / "out.csv")
+
+    def test_verify_into_a_directory(self, tmp_path, capsys):
+        self.assert_cannot_write(capsys, ["verify", "--trials", "1"], tmp_path)
+
+    def test_verify_replay_into_a_directory(self, tmp_path, capsys):
+        doc = matrix_doc(cfb_topology(2))
+        doc["matrix"][0][0] = [0.3, 0.0]  # not unitary: the suite fails and writes a replay
+        mfile = write_json(tmp_path / "broken.json", doc)
+        cfg = write_json(tmp_path / "cfg.json", {"topology": "custom", "matrix_file": mfile})
+        self.assert_cannot_write(capsys, ["verify", "--trials", "1", "--config", cfg], tmp_path)
 
 
 class TestConfigNumbers:
@@ -662,23 +701,14 @@ def write_matrix_file(path, s, n_nopas):
 class TestMatrixFile:
     """A custom interconnect file: its N is a whole number, and a wiring network needs no inverse."""
 
-    # NOPA 1's a output feeds NOPA 2's b port and NOPA 2's a output NOPA 1's b port: not the chain
-    CROSSED = [(2, 0), (4, 1), (5, 2), (1, 3), (3, 4), (0, 5)]  # (row, column) of each 1
-
-    def crossed(self):
-        s = np.zeros((6, 6), dtype=complex)
-        for row, col in self.CROSSED:
-            s[row, col] = 1.0
-        return s
-
     def stability_cfg(self, tmp_path, n_nopas):
-        mfile = write_matrix_file(tmp_path / "net.json", self.crossed(), n_nopas)
+        mfile = write_matrix_file(tmp_path / "net.json", crossed_wiring(), n_nopas)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"params": {"x": 0.002, "y": 1.0, "K": 0.0491}, "topology": "custom", "matrix_file": mfile}))
         return str(cfg)
 
     def test_stability_of_a_wiring_network(self, tmp_path):
-        net = PassiveNetwork.from_complex(self.crossed())
+        net = PassiveNetwork.from_complex(crossed_wiring())
         assert net.wiring is not None and not np.array_equal(net.s_complex, cfb_topology(2))
         out = tmp_path / "out"
         assert main(["stability", "--config", self.stability_cfg(tmp_path, 2), "--out", str(out)]) == EXIT_OK

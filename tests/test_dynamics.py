@@ -1,5 +1,6 @@
 """Closed-loop state-space tests, anchored by the static limit at omega = 0."""
 
+import json
 import math
 
 import numpy as np
@@ -34,7 +35,7 @@ from nopanet.errors import (
 )
 from nopanet.network import GAMMA_R_REF, K_REF
 from nopanet.static_limit import elimination_matrix
-from tests.test_linalg import lapack_calls, nearest_match_gap  # noqa: F401 (a fixture)
+from tests.test_linalg import lapack_calls, nearest_match_gap, spectral_gap  # noqa: F401 (a fixture)
 from tests.test_network import random_permutation, random_unitary
 
 
@@ -150,8 +151,36 @@ def neumann_loop(net):
 ILL_POSED = "closed loop is ill-posed: I - S22 is singular (matrix is singular: rcond = 0.000e+00 < 1e-14)"
 
 
+def split_spectrum(a):
+    """The chain's spectrum from the q half of its A, split at the reversal symmetry.
+
+    The route ``stability`` took through ``eigenvalues(A)`` before the chain
+    had its own: X + Y J and X - Y J from the q half, in one call on a stack.
+    """
+    q = a[0::2, 0::2]
+    m = q.shape[0] // 2
+    x, yj = q[:m, :m], q[:m, m:][:, ::-1]
+    return np.concatenate([eigenvalues(np.stack([x + yj, x - yj])).reshape(-1)] * 2)
+
+
+def crossed_wiring():
+    """NOPA 1's a output feeds NOPA 2's b port and NOPA 2's a output NOPA 1's b port: not the chain."""
+    s = np.zeros((6, 6), dtype=complex)
+    for row, col in [(2, 0), (4, 1), (5, 2), (1, 3), (3, 4), (0, 5)]:
+        s[row, col] = 1.0
+    return s
+
+
+def reversed_chain(n):
+    """The chain with its NOPAs numbered backwards: the same physics, another wiring."""
+    order = np.concatenate([[0, 1], 2 + np.arange(2 * n).reshape(n, 2)[::-1].reshape(-1)])
+    s = cfb_topology(n)
+    return s[np.ix_(order, order)]
+
+
 class TestWiringLoop:
-    """A wiring network closes its loop by following the wires, with the bytes of the inverse."""
+    """A wiring network closes its loop with the bytes of the dense inverse: the chain's
+    from its rails, every other one by inverting I - S22."""
 
     @staticmethod
     def check_wiring_route(s, big_k):
@@ -175,8 +204,9 @@ class TestWiringLoop:
         literal = literal_closed_loop(p, net)
         for got, want in zip((ss.a, ss.b, ss.c, ss.d), literal):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        report = stability(p, net)
-        assert report.eigenvalues.tobytes() == eigenvalues(literal[0]).tobytes()
+        chain = np.array_equal(s, cfb_topology(net.n_nopas))
+        want = split_spectrum(literal[0]) if chain else eigenvalues(literal[0])
+        assert stability(p, net).eigenvalues.tobytes() == want.tobytes()
         return True
 
     @settings(max_examples=150, deadline=None)
@@ -198,12 +228,13 @@ class TestWiringLoop:
         s[0, 0] = s[1, 1] = s[2, 2] = s[3, 3] = 1.0
         assert not self.check_wiring_route(s, 0.0)
 
-    def test_no_inverse_for_a_wiring_network(self, lapack_calls):
-        p = NopaParams.from_normalized(0.002, 1.0, K_REF)
-        for net in (PassiveNetwork.cfb(40), PassiveNetwork.from_complex(acyclic_wiring(np.random.default_rng(5), 7))):
-            build_closed_loop(p, net)
-            stability(p, net)
-        assert [name for name, _ in lapack_calls] == ["eigvals", "eigvals"]
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_closed_cycle_of_wires_is_ill_posed(self, n):
+        # the last a output feeds NOPA 1's a port, and input 1 goes straight to output 1
+        s = cfb_topology(n)
+        s[0, 2 * n] = s[2, 0] = 0.0
+        s[0, 0] = s[2, 2 * n] = 1.0
+        assert not self.check_wiring_route(s, K_REF)
 
     @pytest.mark.parametrize("n", [1, 3, 10])
     def test_other_networks_invert_as_before(self, n, lapack_calls):
@@ -219,6 +250,67 @@ class TestWiringLoop:
             assert got.tobytes() == want.tobytes()
         stability(p, net)
         assert lapack_calls[1:] == [("solve", (4 * n, 4 * n)), ("eigvals", (4 * n, 4 * n))]
+
+
+class TestChainLoop:
+    """The chain's loop and Hurwitz halves come from its two rails, with no test of structure."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 33, 128])
+    def test_loop_is_the_inverse_and_the_neumann_sum(self, n):
+        net = PassiveNetwork.cfb(n)
+        loop = dynamics._loop(net)
+        assert loop.dtype == float and loop.shape == (4 * n, 4 * n)
+        assert np.array_equal(loop, linalg.inverse(np.eye(4 * n) - net.blocks.s22))
+        assert np.array_equal(loop, neumann_loop(net))
+
+    @pytest.mark.parametrize("fraction", [0.9, 0.999])
+    @pytest.mark.parametrize("big_k", [0.0, K_REF])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 31, 128])
+    def test_stability_is_the_split_of_a(self, n, big_k, fraction):
+        p = NopaParams.from_normalized(fraction * math.tan(math.pi / (4 * n)), 1.0, big_k)
+        net = PassiveNetwork.cfb(n)
+        a = build_closed_loop(p, net).a
+        evs = stability(p, net).eigenvalues
+        assert evs.tobytes() == split_spectrum(a).tobytes()
+        assert spectral_gap(evs, np.linalg.eigvals(a)) <= 1e-13
+
+    def test_lapack_calls(self, lapack_calls):
+        p = NopaParams.from_normalized(0.002, 1.0, K_REF)
+        net = PassiveNetwork.cfb(40)
+        build_closed_loop(p, net)
+        assert lapack_calls == []
+        stability(p, net)
+        assert lapack_calls == [("eigvals", (2, 40, 40))]
+        for s in (acyclic_wiring(np.random.default_rng(5), 7), crossed_wiring()):
+            net = PassiveNetwork.from_complex(s)
+            lapack_calls.clear()
+            dynamics._loop(net)
+            assert [name for name, _ in lapack_calls] == ["solve"]
+            ss = build_closed_loop(p, net)
+            for got, want in zip((ss.a, ss.b, ss.c, ss.d), literal_closed_loop(p, net)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_chain_from_a_matrix_or_a_file_takes_the_chain_route(self, n, tmp_path, lapack_calls):
+        path = tmp_path / "chain.json"
+        matrix = [[[z.real, z.imag] for z in row] for row in cfb_topology(n)]
+        path.write_text(json.dumps({"n_nopas": n, "matrix": matrix}))
+        p = NopaParams.from_normalized(0.5 * math.tan(math.pi / (4 * n)), 1.0, K_REF)
+        want = stability(p, PassiveNetwork.cfb(n)).eigenvalues
+        for net in (PassiveNetwork.from_complex(cfb_topology(n)), PassiveNetwork.from_json(path)):
+            lapack_calls.clear()
+            build_closed_loop(p, net)
+            assert stability(p, net).eigenvalues.tobytes() == want.tobytes()
+            assert lapack_calls == [("eigvals", (2, n, n))]
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_relabelled_chain_takes_the_general_route(self, n, lapack_calls):
+        net = PassiveNetwork.from_complex(reversed_chain(n))
+        assert net.wiring is not None and not np.array_equal(net.s_complex, cfb_topology(n))
+        p = NopaParams.from_normalized(0.9 * math.tan(math.pi / (4 * n)), 1.0, K_REF)
+        evs = stability(p, net).eigenvalues
+        assert [name for name, _ in lapack_calls] == ["solve", "eigvals"]
+        assert spectral_gap(evs, stability(p, PassiveNetwork.cfb(n)).eigenvalues) <= 1e-13
 
 
 class TestMirroredCustomNetwork:
@@ -248,14 +340,15 @@ class TestDriftLayout:
         rng = np.random.default_rng(n)
         p = NopaParams.from_normalized(0.05, 0.8, K_REF)
         loop = rng.normal(size=(4 * n, 4 * n))
-        want = dynamics._drift(p, np.array(loop, order="C"))
+        a1 = build_a1(p)
+        want = dynamics._drift(np.array(loop, order="C"), p.gamma, a1)
         fortran = np.array(loop, order="F")
-        got = dynamics._drift(p, fortran)
+        got = dynamics._drift(fortran, p.gamma, a1)
         assert np.shares_memory(got, fortran) and got.tobytes() == want.tobytes()
         # a strided view, as solve returns its first columns
         wide = np.zeros((4 * n, 4 * n + 1))
         wide[:, : 4 * n] = loop
-        assert dynamics._drift(p, wide[:, : 4 * n]).tobytes() == want.tobytes()
+        assert dynamics._drift(wide[:, : 4 * n], p.gamma, a1).tobytes() == want.tobytes()
 
 
 class TestStability:

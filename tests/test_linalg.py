@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nopanet import K_REF, NopaParams, PassiveNetwork, build_closed_loop, linalg
+from nopanet import K_REF, NopaParams, PassiveNetwork, build_closed_loop, linalg, stability
 from nopanet.oracles import random_unitary
 from nopanet.static_limit import elimination_matrix, static_coefficients
 from nopanet.errors import DimensionError, SingularMatrixError
@@ -169,6 +169,23 @@ class TestEigenvalues:
             b = np.sort_complex(linalg.eigenvalues(m.T))
             assert np.max(np.abs(a - b)) < 1e-8
 
+    def test_stack_gives_one_row_per_matrix(self, lapack_calls):
+        m = np.random.default_rng(19).normal(size=(3, 5, 5))
+        evs = linalg.eigenvalues(m)
+        assert lapack_calls[0] == ("eigvals", (3, 5, 5)) and evs.shape == (3, 5)
+        for got, one in zip(evs, m):
+            assert got.tobytes() == linalg.eigenvalues(one).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4)])
+    def test_rejects_non_square_shapes(self, shape):
+        with pytest.raises(DimensionError):
+            linalg.eigenvalues(np.ones(shape))
+
+    def test_rejects_non_finite_member_of_a_stack(self):
+        m = np.stack([np.eye(3)] * 2)
+        m[1, 2, 0] = np.nan
+        with pytest.raises(DimensionError):
+            linalg.eigenvalues(m)
 
 
 def parity_split(rng, n, dtype=float):
@@ -501,14 +518,18 @@ def whole_q_solve(m, b):
     return x[..., : b.shape[-1]]
 
 
+def is_centrosymmetric(q):
+    """True when each matrix of q equals itself with its rows and columns reversed."""
+    return bool((q == q[..., ::-1, ::-1]).all())
+
+
 def assert_whole_q_calls(m, b, routines=("eigenvalues", "solve")):
     """Each routine on the mirrored m returns the bytes of one LAPACK call on its q half."""
     q = m[..., 0::2, 0::2]
     assert linalg._mirrored_half(m) is not None
     for name in routines:
         if name == "eigenvalues":
-            assert linalg._centro_halves(q) is None
-            got, want = linalg.eigenvalues(m), np.concatenate([np.linalg.eigvals(q)] * 2)
+            got, want = linalg.eigenvalues(m), np.concatenate([np.linalg.eigvals(q)] * 2, axis=-1)
         else:
             got, want = linalg.solve(m, b), whole_q_solve(m, b)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
@@ -526,15 +547,17 @@ def lapack_calls(monkeypatch):
 
 
 class TestCentroSplit:
-    """The chain's q half maps onto itself when the chain is reversed and a swaps with b;
-    ``eigenvalues`` splits it, and ``solve`` factors it whole."""
+    """The chain's q half maps onto itself when the chain is reversed and a swaps with b.
+    ``stability`` splits it there (see ``dynamics``); ``linalg`` never tests for it, so
+    ``eigenvalues`` and ``solve`` factor a mirrored matrix's q whole, centrosymmetric or not."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 128])
     def test_chain_q_halves_are_centrosymmetric(self, n):
         a, e, resolvents = chain_matrices(n, stable_x(n, 1.0, K_REF, 0.5), 1.0, K_REF, (0.0, 0.3))
         for m in (a, e, *resolvents):
             for t in (m, m.T):
-                assert linalg._centro_halves(linalg._mirrored_half(t)) is not None
+                q = linalg._mirrored_half(t)
+                assert q is not None and q.shape == (2 * n, 2 * n) and is_centrosymmetric(q)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -556,11 +579,12 @@ class TestCentroSplit:
             assert residual <= max(1e-12, 10 * np.max(np.abs(m @ ref - b)))
 
     def test_one_lapack_call_on_a_stack_of_two_halves(self, lapack_calls):
-        # eigenvalues splits the chain's A at every size; solve factors q whole
+        # stability splits the chain's q half at every size; solve factors q whole
         for n in (1, 2, 5, 16, 31, 128):
-            a, e, resolvents = chain_matrices(n, stable_x(n, 1.0, K_REF, 0.5), 1.0, K_REF, (0.1,))
+            x = stable_x(n, 1.0, K_REF, 0.5)
+            a, e, resolvents = chain_matrices(n, x, 1.0, K_REF, (0.1,))
             lapack_calls.clear()
-            evs = linalg.eigenvalues(a)
+            evs = stability(NopaParams.from_normalized(x, 1.0, K_REF), PassiveNetwork.cfb(n)).eigenvalues
             linalg.solve(e.T, np.ones((4 * n, 4)))
             linalg.solve(np.swapaxes(resolvents, -1, -2), np.ones((4 * n, 4)))
             assert lapack_calls == [
@@ -574,27 +598,29 @@ class TestCentroSplit:
         rng = np.random.default_rng(211)
         for dtype in (float, complex):
             q = centro(rng, 8, dtype)
+            assert_whole_q_calls(mirror_of(q), rng.normal(size=(16, 3)))
             q[1, 2] += 0.5  # its partner q[6, 5] keeps the old value
+            assert not is_centrosymmetric(q)
             assert_whole_q_calls(mirror_of(q), rng.normal(size=(16, 3)))
 
     def test_odd_order_centrosymmetric(self):
         rng = np.random.default_rng(223)
         q = centro(rng, 7)
-        assert (q == q[::-1, ::-1]).all()
+        assert is_centrosymmetric(q)
         assert_whole_q_calls(mirror_of(q), rng.normal(size=(14, 2)))
 
     def test_stack_with_one_centrosymmetric_member(self):
         rng = np.random.default_rng(227)
         q = rng.normal(size=(3, 6, 6)) + 4.0 * np.eye(6)
         q[1] = centro(rng, 6)
-        assert linalg._centro_halves(q[1]) is not None
-        assert_whole_q_calls(mirror_of(q), rng.normal(size=(12, 2)), ["solve"])
+        assert is_centrosymmetric(q[1])
+        assert_whole_q_calls(mirror_of(q), rng.normal(size=(12, 2)))
 
     def test_singular_half_raises(self):
         # X + Y J = [[1, 2], [2, 4]] is singular, X - Y J = I is not
         x, yj = np.array([[1.0, 1.0], [1.0, 2.5]]), np.array([[0.0, 1.0], [1.0, 1.5]])
         q = np.block([[x, yj[:, ::-1]], [yj[::-1], x[::-1, ::-1]]])
-        assert linalg._centro_halves(q) is not None
+        assert is_centrosymmetric(q)
         with pytest.raises(SingularMatrixError) as err:
             linalg.inverse(mirror_of(q))
         assert err.value.rcond == 0.0
