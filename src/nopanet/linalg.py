@@ -19,10 +19,12 @@ approximation, and one LAPACK call of order n/2 costs about an eighth of
 one of order n.  Every other matrix, and every stack with a member that is
 not mirrored, takes the single dense call.  The paper's chain gives
 mirrored matrices in the interleaved (q, p) quadrature order -- its
-closed-loop A, static elimination matrix and resolvent i w I - A: its real
-routing never mixes q with p nor the a rail with the b rail, and its pump
-term ab + a^dag b^dag is unchanged by a -> i a, b -> -i b, which flips the
-b signs of the q half to give the p half.
+closed-loop A and resolvent i w I - A, and its static elimination matrix,
+which only the oracle ``extract_uv`` solves (``static_transfer`` writes the
+chain's H from its cascade): its real routing never mixes q with p nor the
+a rail with the b rail, and its pump term ab + a^dag b^dag is unchanged by
+a -> i a, b -> -i b, which flips the b signs of the q half to give the p
+half.
 """
 
 from __future__ import annotations

@@ -267,8 +267,9 @@ def property_trial(rng: np.random.Generator) -> dict:
         or np.max(np.abs(sq.T @ jj @ sq - jj)) > 1e-12
     ):
         failures["quadrature_symplectic"] = {"n": n}
-    # Stability implies a well-conditioned static loop elimination,
-    # and the three (u, v) routes agree, and H(i0) matches the static map.
+    # Stability implies that static_transfer answers (the chain's cascade is
+    # away from its poles), the three (u, v) routes agree, and H(i0) matches
+    # the static map.
     x = float(rng.uniform(0.01, 0.35))
     y = float(rng.uniform(0.5, 1.0))
     params = NopaParams.from_normalized(x, y)

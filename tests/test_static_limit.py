@@ -1,4 +1,5 @@
-"""Static-limit tests: transfer assembly, the L-pattern algebra, u/v extraction."""
+"""Static-limit tests: transfer assembly, the chain's cascade against the dense elimination,
+the L-pattern algebra, u/v extraction."""
 
 import math
 from fractions import Fraction
@@ -15,12 +16,13 @@ from nopanet import (
     random_l2_matrix,
     stability,
     static_coefficients,
+    static_limit,
     static_transfer,
 )
 from nopanet.errors import PoleError, StructureError, WellPosednessError
 from nopanet.linalg import inverse
 from nopanet.network import K_REF
-from nopanet.static_limit import R, _blockwise, elimination_matrix, w_blocks
+from nopanet.static_limit import R, _blockwise, _eliminated_transfer, elimination_matrix, w_blocks
 from tests.test_linalg import lapack_calls  # noqa: F401 (a fixture)
 from tests.test_network import random_unitary
 
@@ -162,6 +164,77 @@ class TestStaticTransfer:
         assert np.array_equal(w12, expected_w12)
         assert w34[0, 0] == c.h3
         assert w34[0, 2] == c.h4
+
+
+class TestChainCascade:
+    """``static_transfer`` on the chain writes H from its two-port cascade; the dense
+    elimination (``oracle_h``, ``_eliminated_transfer``) is its oracle."""
+
+    @pytest.mark.parametrize("big_k", [0.0, K_REF, 0.3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 64, 128, 400])
+    def test_matches_dense_elimination(self, n, big_k):
+        net = PassiveNetwork.cfb(n)
+        for fraction in (0.0, 0.5, 0.9, 0.999):
+            c = static_coefficients(fraction * math.tan(math.pi / (4 * n)), 1.0, big_k)
+            assert relative_gap(static_transfer(c, net).h_n, oracle_h(c, net)) <= 1e-12, fraction
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_h1_zero(self, n):
+        # k^2 = 1 + r^2 makes h1 vanish; the cascade never divides by it
+        c = static_coefficients(0.5, 1.0, math.sqrt(5.0))
+        assert abs(c.h1) < 1e-15
+        net = PassiveNetwork.cfb(n)
+        assert relative_gap(static_transfer(c, net).h_n, oracle_h(c, net)) <= 1e-12
+
+    def test_one_nopa_has_no_loop_to_be_singular(self):
+        # E is the identity for one NOPA, however large its coefficients
+        c = static_coefficients(1.0 - 1e-7, 1.0)
+        net = PassiveNetwork.cfb(1)
+        assert relative_gap(static_transfer(c, net).h_n, oracle_h(c, net)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_lossless_pole_is_singular(self, n):
+        coeffs = static_coefficients(math.tan(math.pi / (4 * n)), 1.0)
+        with pytest.raises(WellPosednessError):
+            static_transfer(coeffs, PassiveNetwork.cfb(n))
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_same_verdict_as_dense_toward_the_pole(self, n):
+        net = PassiveNetwork.cfb(n)
+        pole = math.tan(math.pi / (4 * n))
+        for side in (-1.0, 1.0):
+            answered = []  # at relative distances 1e-1 .. 1e-16 from the pole
+            for digits in range(1, 17):
+                c = static_coefficients(pole * (1.0 + side * 10.0**-digits), 1.0)
+                verdicts = []
+                for route in (static_transfer, _eliminated_transfer):
+                    try:
+                        route(c, net)
+                        verdicts.append(True)
+                    except WellPosednessError:
+                        verdicts.append(False)
+                assert verdicts[0] == verdicts[1], (side, digits)
+                answered.append(verdicts[0])
+            # answered far from the pole, singular at it, and one switch between
+            assert all(answered[:10]) and not answered[-1], side
+            assert answered == sorted(answered, reverse=True), side
+
+    @pytest.mark.parametrize("n", [2, 10, 128])
+    def test_no_lapack_call_and_no_elimination_matrix(self, n, lapack_calls, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the chain formed its elimination matrix")
+
+        monkeypatch.setattr(static_limit, "elimination_matrix", refuse)
+        coeffs = static_coefficients(0.5 * math.tan(math.pi / (4 * n)), 1.0, K_REF)
+        st = static_transfer(coeffs, PassiveNetwork.cfb(n))
+        assert lapack_calls == [] and st.h_n.shape == (4, 4 + 4 * n)
+
+    def test_custom_network_takes_one_solve(self, lapack_calls):
+        n = 3
+        net = PassiveNetwork.from_complex(random_unitary(np.random.default_rng(5), 2 * (n + 1)))
+        lapack_calls.clear()
+        static_transfer(static_coefficients(0.05, 1.0, K_REF), net)
+        assert lapack_calls == [("solve", (4 * n, 4 * n))]
 
 
 class TestEliminationMatrix:
