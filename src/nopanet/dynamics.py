@@ -9,13 +9,40 @@ closed form from its two rails (``_chain_reach``), with no LAPACK call;
 every other network inverts I - S22.  ``build_closed_loop`` gives A, B, C
 and D, and ``stability`` builds only the drift A, over L itself.
 
-On the chain ``stability`` builds only A's q half, of order 2N: A never
-mixes q with p, and its p half has the q half's spectrum (see ``linalg``).
-Reversed, with its rails swapped (a_j <-> b_{N+1-j}), the chain is the
-same chain, since each pump couples a_j and b_j alike.  So the q half is
-[[X, Y], [J Y J, J X J]], with J the exchange matrix, and the orthogonal
-[[I, I], [J, -J]] / sqrt 2 takes it to diag(X + Y J, X - Y J): the spectra
-of two matrices of order N from one LAPACK call, with no loss of accuracy.
+On the chain ``stability`` builds nothing: the spectrum has a closed-form
+characteristic equation, solved in O(N) time and memory with no LAPACK
+call.  A never mixes q with p, and its p half has the q half's spectrum
+(see ``linalg``), so each pole appears twice.  With r = epsilon/gamma
+and the rails ordered a_1..a_N, b_1..b_N, the q half is
+-(kappa/2) I - (gamma/2) M, with M = [[C, -r I], [-r I, C^T]] and
+C = (I + S)(I - S)^{-1} (1 on its diagonal, 2 below it; S the down-shift).
+Loss is only the shift -kappa/2: the eigenvalues are
+lambda = -kappa/2 - (gamma/2) nu over the 2N eigenvalues nu of M.
+
+det(M - nu) is the continuant of a symmetric tridiagonal matrix: first
+diagonal entry (1 - nu)^2 - r^2, the others 2(1 + nu^2 - r^2), and
+1 - nu^2 + r^2 off the diagonal.  Put cos theta = (1 + nu^2 - r^2) /
+(1 - nu^2 + r^2); its Chebyshev form gives the poles as the roots of
+tan(theta/2) = sigma r sin(N theta), with nu = sigma r cos(N theta) and
+sigma = +-1.  Each of the 2N distinct nu has a cell of its own:
+  - cell j = 1..N-1 (sigma = (-1)^j) holds a conjugate pair:
+    theta = (j pi + psi)/N with psi = arcsin(tan(theta/2)/r),
+    |Re psi| < pi/2, and nu = r cos psi;
+  - cell 0 (sigma = +1) holds one real nu, with theta real or imaginary;
+    it is solved in tau = theta^2, which is smooth where the root passes
+    through theta = 0 (at rN = 1/2; elsewhere theta = 0 is no root);
+  - cell N holds one real nu: theta = pi + i t, coth(t/2) = r sinh(N t)
+    and nu = r cosh(N t).
+Each cell's root comes from Newton's method, all inner cells at once.  At
+r = 0, M is a Jordan block, and every eigenvalue is -(gamma + kappa)/2.
+Before the poles are returned, every root must lie in its cell, be finite
+and have converged, and sum nu must equal tr M = 2N to rounding.  If any
+check fails, the spectrum falls back to one LAPACK call: reversed, with
+its rails swapped (a_j <-> b_{N+1-j}), the chain is the same chain, so
+the orthogonal [[I, I], [J, -J]] / sqrt 2 (J the exchange matrix) splits
+the q half of A into X + Y J and X - Y J, two matrices of order N whose
+spectra come from one ``eigenvalues`` call on their stack.  That route is
+also the tests' oracle.
 """
 
 from __future__ import annotations
@@ -100,20 +127,155 @@ def build_closed_loop(p: NopaParams, net: PassiveNetwork) -> StateSpace:
 def stability(p: NopaParams, net: PassiveNetwork) -> StabilityReport:
     """Hurwitz verdict for the closed loop, with the full spectrum attached.
 
-    Only the drift A of ``build_closed_loop`` is built, with its bytes, over
-    L; on the chain only A's q half, split in two (module docstring).
+    On the chain the 4N eigenvalues come from its characteristic equation,
+    tan(theta/2) = +-r sin(N theta), one root per cell, shifted by the loss
+    (module docstring).  The split X +- Y J of A's q half is the fallback
+    when a check of those roots fails.  Every other network builds the
+    drift A of ``build_closed_loop``, with its bytes, over L, and takes its
+    spectrum.
     """
     if _is_chain(net):
-        n = net.n_nopas
-        q = _drift(_chain_reach(n), p.gamma, build_a1(p)[0::2, 0::2])
-        x, yj = q[:n, :n], q[:n, n:][:, ::-1]
-        spec = np.concatenate([eigenvalues(np.stack([x + yj, x - yj])).reshape(-1)] * 2)
+        spec = _chain_spectrum(p, net.n_nopas)
     else:
         spec = eigenvalues(_drift(_loop(net), p.gamma, build_a1(p)))
     abscissa = float(np.max(spec.real))
     return StabilityReport(
         stable=bool(abscissa < 0), eigenvalues=spec, spectral_abscissa=abscissa
     )
+
+
+def _chain_spectrum(p: NopaParams, n: int) -> np.ndarray:
+    """The chain's 4N eigenvalues: -kappa/2 - (gamma/2) nu over M's 2N poles nu, twice."""
+    r = p.epsilon / p.gamma
+    if r == 0.0:  # M is a Jordan block with nu = 1: A is triangular with -(gamma + kappa)/2 on it
+        return np.full(4 * n, -(p.gamma + p.kappa) / 2.0, dtype=complex)
+    nu = _chain_poles(r, n)
+    if nu is None:
+        return _split_spectrum(p, n)
+    half = -p.kappa / 2.0 - p.gamma / 2.0 * nu
+    return np.concatenate([half, half])
+
+
+def _split_spectrum(p: NopaParams, n: int) -> np.ndarray:
+    """The chain's spectrum from A's q half split in X + Y J and X - Y J: one LAPACK call."""
+    q = _drift(_chain_reach(n), p.gamma, build_a1(p)[0::2, 0::2])
+    x, yj = q[:n, :n], q[:n, n:][:, ::-1]
+    return np.concatenate([eigenvalues(np.stack([x + yj, x - yj])).reshape(-1)] * 2)
+
+
+# Newton steps allowed for one root of the chain's characteristic equation
+_NEWTON_STEPS = 50
+_EPS = float(np.finfo(float).eps)
+
+
+def _chain_poles(r: float, n: int):
+    """M's 2N eigenvalues nu for r > 0 (module docstring), or None when a check fails."""
+    try:
+        first, last = _first_pole(r, n), _last_pole(r, n)
+    except (ArithmeticError, ValueError):  # math overflowed, or a log met a non-positive number
+        return None
+    with np.errstate(all="ignore"):  # a non-finite root fails the checks below
+        inner = _inner_poles(r, n)
+    if first is None or last is None or inner is None:
+        return None
+    nu = np.concatenate([[first, last], inner, inner.conj()])
+    return nu if _trace_holds(nu, n) else None
+
+
+def _trace_holds(nu: np.ndarray, n: int) -> bool:
+    """sum nu = tr M = 2N to the rounding of 2N roots, each good to a few ulps.
+
+    A root that is not finite makes the sum inf or NaN, which fails too.
+    """
+    error = abs(complex(nu.sum()) - 2 * n)
+    return math.isfinite(error) and error <= 32 * n * _EPS * float(np.abs(nu).max())
+
+
+def _newton(step, x: float, scale):
+    """Apply x -= step(x) until a correction is within 8 ulps of scale(x); None if none is."""
+    for _ in range(_NEWTON_STEPS):
+        dx = step(x)
+        x -= dx
+        if abs(dx) <= 8 * _EPS * scale(x):
+            return x
+    return None
+
+
+def _first_pole(r: float, n: int):
+    """Cell 0's nu, from the root tau = theta^2 < (pi/N)^2 of K = ln(r sin(N theta) / tan(theta/2)).
+
+    K(tau) is concave and decreasing: in the product forms of
+    sin(N theta)/theta and tan(theta/2)/theta each factor adds a term
+    +-ln(1 - a tau), and each convex term (from tan's numerator) is
+    outweighed by the sine's term of the same index.  So Newton from
+    tau = 0 overshoots the root at most once, then descends to it.  Where
+    |tau| N^2 < 1e-3 the slope is its series, whose first dropped term is
+    below 1e-6 relative there; beyond, the closed form loses < 1e-12.
+    """
+    end = (math.pi / n) ** 2
+
+    def step(tau):
+        if tau > 0:
+            th = math.sqrt(tau)
+            k = math.log(r * math.sin(n * th) / math.tan(th / 2))
+            slope = (n / math.tan(n * th) - 1 / math.sin(th)) / (2 * th)
+        elif tau < 0:
+            s = math.sqrt(-tau)
+            k = math.log(r * math.sinh(n * s) / math.tanh(s / 2))
+            slope = (1 / math.sinh(s) - n / math.tanh(n * s)) / (2 * s)
+        else:
+            k = math.log(2 * r * n)
+        if abs(tau) * n * n < 1e-3:
+            slope = -(2 * n * n + 1) / 12 - tau * (8 * n**4 + 7) / 720
+        return tau - min(tau - k / slope, (tau + end) / 2)  # halfway to the cell's end at most
+
+    tau = _newton(step, 0.0, lambda tau: abs(tau) + 1 / (n * n))
+    if tau is None:
+        return None
+    return r * (math.cos(n * math.sqrt(tau)) if tau >= 0 else math.cosh(n * math.sqrt(-tau)))
+
+
+def _last_pole(r: float, n: int):
+    """Cell N's nu = r cosh(N t), from the root t > 0 of ln(r sinh(N t) tanh(t/2)).
+
+    That log is concave and increasing in t, and negative at
+    t = asinh(1/r)/N (where r sinh(N t) = 1), so Newton from there climbs
+    to the root without overshooting.
+    """
+
+    def step(t):
+        k = math.log(r * math.sinh(n * t) * math.tanh(t / 2))
+        return k / (n / math.tanh(n * t) + 1 / math.sinh(t))
+
+    t = _newton(step, math.asinh(1 / r) / n, abs)
+    return None if t is None else r * math.cosh(n * t)
+
+
+def _inner_poles(r: float, n: int):
+    """One nu = r cos psi per cell j = 1..N-1, Im psi < 0, or None if a cell is left empty.
+
+    All cells take Newton steps together on psi - arcsin(tan(theta/2)/r),
+    theta = (j pi + psi)/N, from the arcsin at the middle of each cell
+    (on its branch cut, taken from below), until every correction is
+    within 8 ulps of N pi + max|psi|, which bounds |N theta|.  Each cell's
+    pair is {nu, conj(nu)}; a real psi would mean that the cell holds two
+    real roots, which this form does not separate.
+    """
+    half_angle = np.pi / (2 * n) * np.arange(1, n)  # j pi / 2N
+    psi = np.arcsin(np.tan(half_angle + np.pi / (4 * n)) / r + 0j).conj()
+    tol = 8 * _EPS * (n * math.pi + float(np.abs(psi).max(initial=0.0)))
+    h, c = 1 / (2 * n), 1 / (2 * n * r)
+    for _ in range(_NEWTON_STEPS):
+        t = np.tan(half_angle + h * psi)
+        q = np.arcsin(t / r)
+        step = (psi - q) / (1 - c * (1 + t * t) / np.cos(q))
+        psi -= step
+        if np.abs(step).max(initial=0.0) <= tol:
+            break
+    else:
+        return None
+    inside = (np.abs(psi.real) < np.pi / 2) & (psi.imag < 0)
+    return r * np.cos(psi) if inside.all() else None
 
 
 def _is_chain(net: PassiveNetwork) -> bool:

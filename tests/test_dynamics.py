@@ -35,7 +35,7 @@ from nopanet.errors import (
 )
 from nopanet.network import GAMMA_R_REF, K_REF
 from nopanet.static_limit import elimination_matrix
-from tests.test_linalg import lapack_calls, nearest_match_gap, spectral_gap  # noqa: F401 (a fixture)
+from tests.test_linalg import lapack_calls, nearest_match_gap, spectral_gap, stable_x  # noqa: F401 (a fixture)
 from tests.test_network import random_permutation, random_unitary
 
 
@@ -154,8 +154,8 @@ ILL_POSED = "closed loop is ill-posed: I - S22 is singular (matrix is singular: 
 def split_spectrum(a):
     """The chain's spectrum from the q half of its A, split at the reversal symmetry.
 
-    The route ``stability`` took through ``eigenvalues(A)`` before the chain
-    had its own: X + Y J and X - Y J from the q half, in one call on a stack.
+    ``stability``'s fallback on the chain and the oracle of its poles:
+    X + Y J and X - Y J from the q half, in one call on a stack.
     """
     q = a[0::2, 0::2]
     m = q.shape[0] // 2
@@ -180,7 +180,8 @@ def reversed_chain(n):
 
 class TestWiringLoop:
     """A wiring network closes its loop with the bytes of the dense inverse: the chain's
-    from its rails, every other one by inverting I - S22."""
+    from its rails, every other one by inverting I - S22.  Every network but the chain
+    takes its spectrum from that A; the chain solves its characteristic equation."""
 
     @staticmethod
     def check_wiring_route(s, big_k):
@@ -204,9 +205,12 @@ class TestWiringLoop:
         literal = literal_closed_loop(p, net)
         for got, want in zip((ss.a, ss.b, ss.c, ss.d), literal):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        chain = np.array_equal(s, cfb_topology(net.n_nopas))
-        want = split_spectrum(literal[0]) if chain else eigenvalues(literal[0])
-        assert stability(p, net).eigenvalues.tobytes() == want.tobytes()
+        evs = stability(p, net).eigenvalues
+        if np.array_equal(s, cfb_topology(net.n_nopas)):
+            # the chain's poles come from its characteristic equation
+            assert spectral_gap(evs, split_spectrum(literal[0])) <= 1e-12
+        else:
+            assert evs.tobytes() == eigenvalues(literal[0]).tobytes()
         return True
 
     @settings(max_examples=150, deadline=None)
@@ -253,7 +257,8 @@ class TestWiringLoop:
 
 
 class TestChainLoop:
-    """The chain's loop and Hurwitz halves come from its two rails, with no test of structure."""
+    """The chain's loop comes from its two rails, and its poles from its characteristic
+    equation, with no test of structure and no LAPACK call."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 33, 128])
     def test_loop_is_the_inverse_and_the_neumann_sum(self, n):
@@ -271,7 +276,7 @@ class TestChainLoop:
         net = PassiveNetwork.cfb(n)
         a = build_closed_loop(p, net).a
         evs = stability(p, net).eigenvalues
-        assert evs.tobytes() == split_spectrum(a).tobytes()
+        assert spectral_gap(evs, split_spectrum(a)) <= 1e-12
         assert spectral_gap(evs, np.linalg.eigvals(a)) <= 1e-13
 
     def test_lapack_calls(self, lapack_calls):
@@ -280,7 +285,7 @@ class TestChainLoop:
         build_closed_loop(p, net)
         assert lapack_calls == []
         stability(p, net)
-        assert lapack_calls == [("eigvals", (2, 40, 40))]
+        assert lapack_calls == []
         for s in (acyclic_wiring(np.random.default_rng(5), 7), crossed_wiring()):
             net = PassiveNetwork.from_complex(s)
             lapack_calls.clear()
@@ -297,11 +302,12 @@ class TestChainLoop:
         path.write_text(json.dumps({"n_nopas": n, "matrix": matrix}))
         p = NopaParams.from_normalized(0.5 * math.tan(math.pi / (4 * n)), 1.0, K_REF)
         want = stability(p, PassiveNetwork.cfb(n)).eigenvalues
+        assert spectral_gap(want, split_spectrum(build_closed_loop(p, PassiveNetwork.cfb(n)).a)) <= 1e-12
         for net in (PassiveNetwork.from_complex(cfb_topology(n)), PassiveNetwork.from_json(path)):
             lapack_calls.clear()
             build_closed_loop(p, net)
             assert stability(p, net).eigenvalues.tobytes() == want.tobytes()
-            assert lapack_calls == [("eigvals", (2, n, n))]
+            assert lapack_calls == []
 
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_relabelled_chain_takes_the_general_route(self, n, lapack_calls):
@@ -311,6 +317,109 @@ class TestChainLoop:
         evs = stability(p, net).eigenvalues
         assert [name for name, _ in lapack_calls] == ["solve", "eigvals"]
         assert spectral_gap(evs, stability(p, PassiveNetwork.cfb(n)).eigenvalues) <= 1e-13
+
+
+def exact_poles(p, n, digits=40):
+    """A's 4N eigenvalues from a ``digits``-digit eig of M = [[C, -r I], [-r I, C^T]], each twice."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(digits):
+        r = mp.mpf(p.epsilon) / mp.mpf(p.gamma)
+        m = mp.matrix(2 * n, 2 * n)
+        for i in range(n):
+            m[i, i] = m[n + i, n + i] = 1
+            m[i, n + i] = m[n + i, i] = -r
+            for j in range(i):
+                m[i, j] = m[n + j, n + i] = 2
+        nus = mp.eig(m, left=False, right=False)
+        poles = [complex(-mp.mpf(p.kappa) / 2 - mp.mpf(p.gamma) / 2 * nu) for nu in nus]
+    return np.array(poles * 2)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The chains whose poles fell back to the split of A's q half."""
+    calls = []
+    split = dynamics._split_spectrum
+    monkeypatch.setattr(dynamics, "_split_spectrum", lambda p, n: calls.append(n) or split(p, n))
+    return calls
+
+
+class TestChainPoles:
+    """The chain's 4N eigenvalues from tan(theta/2) = +-r sin(N theta), one root per cell."""
+
+    @pytest.mark.parametrize("y", [0.5, 1.0])
+    @pytest.mark.parametrize("big_k", [0.0, K_REF, 0.3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 16, 31, 64, 128, 400])
+    def test_matches_the_split_oracle(self, n, big_k, y, fallbacks):
+        for fraction in (0.0, 1e-6, 0.01, 0.5, 0.9, 0.999):
+            p = NopaParams.from_normalized(fraction * math.tan(math.pi / (4 * n)), y, big_k)
+            evs = stability(p, PassiveNetwork.cfb(n)).eigenvalues
+            assert evs.shape == (4 * n,) and evs.tobytes() == np.concatenate([evs[: 2 * n]] * 2).tobytes()
+            # at 1e-6 of the bound the poles crowd round nu = 1, where the oracle's own
+            # eigvals is off by up to 1.4e-11 (see test_matches_40_digit_eigenvalues)
+            tol = 1e-12 if fraction != 1e-6 else 5e-11
+            assert spectral_gap(evs, split_spectrum(build_closed_loop(p, PassiveNetwork.cfb(n)).a)) <= tol
+        assert fallbacks == []
+
+    @pytest.mark.parametrize(
+        "n, fraction",
+        [(2, 1e-6), (2, 0.5), (2, 0.999), (5, 1e-6), (5, 0.999), (8, 1e-6), (8, 0.5), (16, 1e-6)],
+    )
+    def test_matches_40_digit_eigenvalues(self, n, fraction):
+        p = NopaParams.from_normalized(fraction * math.tan(math.pi / (4 * n)), 1.0, K_REF)
+        assert spectral_gap(stability(p, PassiveNetwork.cfb(n)).eigenvalues, exact_poles(p, n)) <= 1e-13
+
+    def test_matches_40_digit_eigenvalues_where_cell_0_crosses_theta_0(self):
+        # r N = 1/2: cell 0's root sits at theta = 0, between its real and imaginary branches
+        p = NopaParams.from_normalized(0.1, 1.0)
+        assert 2 * (p.epsilon / p.gamma) * 5 == 1.0
+        assert spectral_gap(stability(p, PassiveNetwork.cfb(5)).eigenvalues, exact_poles(p, 5)) <= 1e-13
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("big_k", [0.0, K_REF])
+    @pytest.mark.parametrize("n", [1, 2, 9, 128])
+    def test_no_pump_is_a_jordan_block(self, n, big_k, fallbacks):
+        p = NopaParams.from_normalized(0.0, 0.7, big_k)
+        evs = stability(p, PassiveNetwork.cfb(n)).eigenvalues
+        assert np.array_equal(evs, np.full(4 * n, -(p.gamma + p.kappa) / 2.0))
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("big_k", [0.0, K_REF])
+    @pytest.mark.parametrize("n", [2, 5, 50])
+    def test_verdict_is_the_bound(self, n, big_k, fallbacks):
+        bound = stable_x(n, 1.0, big_k, 1.0)  # x y < bound exactly while Hurwitz
+        for k in range(1, 16):
+            for x in (bound * (1 - 10.0**-k), bound * (1 + 10.0**-k)):
+                p = NopaParams.from_normalized(x, 1.0, big_k)
+                assert stability(p, PassiveNetwork.cfb(n)).stable == (x < bound)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 128])
+    def test_no_lapack_call(self, n, lapack_calls):
+        p = NopaParams.from_normalized(0.9 * math.tan(math.pi / (4 * n)), 1.0, K_REF)
+        stability(p, PassiveNetwork.cfb(n))
+        assert lapack_calls == []
+        net = PassiveNetwork.from_complex(reversed_chain(n))
+        stability(p, net)
+        # one NOPA numbered backwards is the chain itself
+        assert [name for name, _ in lapack_calls] == ([] if n == 1 else ["solve", "eigvals"])
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 40])
+    def test_a_failed_check_falls_back_to_the_split(self, n, monkeypatch, lapack_calls):
+        monkeypatch.setattr(dynamics, "_trace_holds", lambda nu, n: False)
+        p = NopaParams.from_normalized(0.5 * math.tan(math.pi / (4 * n)), 1.0, K_REF)
+        want = split_spectrum(build_closed_loop(p, PassiveNetwork.cfb(n)).a)
+        lapack_calls.clear()
+        assert stability(p, PassiveNetwork.cfb(n)).eigenvalues.tobytes() == want.tobytes()
+        assert lapack_calls == [("eigvals", (2, n, n))]
+
+    @pytest.mark.parametrize("n", [9, 64])
+    def test_a_chain_far_past_its_bound_falls_back(self, n, fallbacks):
+        # at 3 times the bound some cells hold two real roots, which the cell form does not split
+        p = NopaParams.from_normalized(3 * math.tan(math.pi / (4 * n)), 1.0)
+        report = stability(p, PassiveNetwork.cfb(n))
+        assert fallbacks == [n] and not report.stable
+        assert report.eigenvalues.tobytes() == split_spectrum(build_closed_loop(p, PassiveNetwork.cfb(n)).a).tobytes()
 
 
 class TestMirroredCustomNetwork:
