@@ -24,16 +24,17 @@ diagonal entry (1 - nu)^2 - r^2, the others 2(1 + nu^2 - r^2), and
 1 - nu^2 + r^2 off the diagonal.  Put cos theta = (1 + nu^2 - r^2) /
 (1 - nu^2 + r^2); its Chebyshev form gives the poles as the roots of
 tan(theta/2) = sigma r sin(N theta), with nu = sigma r cos(N theta) and
-sigma = +-1.  Each of the 2N distinct nu has a cell of its own:
-  - cell j = 1..N-1 (sigma = (-1)^j) holds a conjugate pair:
-    theta = (j pi + psi)/N with psi = arcsin(tan(theta/2)/r),
-    |Re psi| < pi/2, and nu = r cos psi;
+sigma = +-1.  The 2N distinct nu fall into N + 1 cells:
+  - cell j = 1..N-1 (sigma = (-1)^j) holds two roots, with
+    theta = (j pi + psi)/N, r sin psi = tan(theta/2) and nu = r cos psi:
+    a conjugate pair, with |Re psi| < pi/2, or, far past the stability
+    bound, two real roots with 0 < psi < pi;
   - cell 0 (sigma = +1) holds one real nu, with theta real or imaginary;
     it is solved in tau = theta^2, which is smooth where the root passes
     through theta = 0 (at rN = 1/2; elsewhere theta = 0 is no root);
   - cell N holds one real nu: theta = pi + i t, coth(t/2) = r sinh(N t)
     and nu = r cosh(N t).
-Each cell's root comes from Newton's method, all inner cells at once.  At
+Each cell's roots come from Newton's method, all inner cells at once.  At
 r = 0, M is a Jordan block, and every eigenvalue is -(gamma + kappa)/2.
 Before the poles are returned, every root must lie in its cell, be finite
 and have converged, and sum nu must equal tr M = 2N to rounding.  If any
@@ -178,7 +179,7 @@ def _chain_poles(r: float, n: int):
         inner = _inner_poles(r, n)
     if first is None or last is None or inner is None:
         return None
-    nu = np.concatenate([[first, last], inner, inner.conj()])
+    nu = np.concatenate([[first, last], inner])
     return nu if _trace_holds(nu, n) else None
 
 
@@ -252,14 +253,14 @@ def _last_pole(r: float, n: int):
 
 
 def _inner_poles(r: float, n: int):
-    """One nu = r cos psi per cell j = 1..N-1, Im psi < 0, or None if a cell is left empty.
+    """The 2N - 2 nu of cells j = 1..N-1, or None if a cell is left empty.
 
     All cells take Newton steps together on psi - arcsin(tan(theta/2)/r),
     theta = (j pi + psi)/N, from the arcsin at the middle of each cell
     (on its branch cut, taken from below), until every correction is
-    within 8 ulps of N pi + max|psi|, which bounds |N theta|.  Each cell's
-    pair is {nu, conj(nu)}; a real psi would mean that the cell holds two
-    real roots, which this form does not separate.
+    within 8 ulps of N pi + max|psi|, which bounds |N theta|.  A cell whose
+    psi comes out complex holds the pair {nu, conj(nu)}, nu = r cos psi; a
+    cell whose psi comes out real holds two real roots (``_falling_roots``).
     """
     half_angle = np.pi / (2 * n) * np.arange(1, n)  # j pi / 2N
     psi = np.arcsin(np.tan(half_angle + np.pi / (4 * n)) / r + 0j).conj()
@@ -274,8 +275,44 @@ def _inner_poles(r: float, n: int):
             break
     else:
         return None
-    inside = (np.abs(psi.real) < np.pi / 2) & (psi.imag < 0)
-    return r * np.cos(psi) if inside.all() else None
+    real = np.abs(psi.imag) <= tol
+    if not (((np.abs(psi.real) < np.pi / 2) & (psi.imag < 0)) | real).all():
+        return None
+    nu = r * np.cos(psi)
+    other = nu.conj()
+    if real.any():
+        rise = psi.real[real]
+        fall = _falling_roots(r, n, half_angle[real], rise, tol)
+        if fall is None:
+            return None
+        nu[real], other[real] = r * np.cos(rise), r * np.cos(fall)
+    return np.concatenate([nu, other])
+
+
+def _falling_roots(r: float, n: int, half_angle: np.ndarray, rise: np.ndarray, tol: float):
+    """The second real psi of each cell whose psi came out real (``_inner_poles``), or None.
+
+    Such a cell's two real roots are those of G(psi) = r sin psi -
+    tan(theta/2) on 0 < psi < pi, where G is concave.  ``rise`` is the one
+    where G rises.  At pi - rise, G < 0 and falls, so Newton on G from there
+    descends to the other root without overshooting.  The slopes of G at
+    both roots are checked, so the two are distinct.
+    """
+    h = 1 / (2 * n)
+
+    def slope(psi):  # G'(psi)
+        return r * np.cos(psi) - h * (1 + np.tan(half_angle + h * psi) ** 2)
+
+    fall = np.pi - rise
+    for _ in range(_NEWTON_STEPS):
+        step = (r * np.sin(fall) - np.tan(half_angle + h * fall)) / slope(fall)
+        fall -= step
+        if np.abs(step).max() <= tol:
+            break
+    else:
+        return None
+    inside = (0 < rise) & (slope(rise) > 0) & (slope(fall) < 0) & (fall < np.pi)
+    return fall if inside.all() else None
 
 
 def _is_chain(net: PassiveNetwork) -> bool:

@@ -13,6 +13,12 @@ in O(m^2) from the entries, with no S*S product; ``PassiveNetwork`` keeps
 the permutation it found (``wiring``), so that the chain is recognised by
 comparing it with the chain's own in O(N).  Every other matrix, real or
 complex, takes the one product S*S.
+
+The chain is its wiring: ``PassiveNetwork.cfb`` holds N and the chain's
+permutation and makes no matrix, as every chain route (the poles, the
+cascade, the loop) reads only those.  S, its quadrature form and the blocks
+are built on first use, for every network, by the dense routes that need
+them; the chain's S then has the bytes ``cfb_topology`` writes.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -101,10 +107,9 @@ def cfb_topology(n: int) -> np.ndarray:
     matrix of size 2(n+1), hence exactly unitary: the 1 of column j sits in
     row ``_cfb_wiring(n)[j]``.
     """
-    if n < 1:
-        raise DimensionError(f"need at least one NOPA, got n={n}")
-    s = np.zeros((2 * (n + 1), 2 * (n + 1)), dtype=complex)
-    s[_cfb_wiring(n), np.arange(2 * (n + 1))] = 1.0
+    wiring = _cfb_wiring(n)
+    s = np.zeros((len(wiring), len(wiring)), dtype=complex)
+    s[wiring, np.arange(len(wiring))] = 1.0
     return s
 
 
@@ -117,6 +122,8 @@ def _cfb_wiring(n: int) -> np.ndarray:
     odd columns) feed the previous odd row, input 2 wrapping round to NOPA
     N's b port.
     """
+    if n < 1:
+        raise DimensionError(f"need at least one NOPA, got n={n}")
     wiring = np.arange(2 * (n + 1))
     wiring[0::2] = np.roll(wiring[0::2], -1)
     wiring[1::2] = np.roll(wiring[1::2], 1)
@@ -223,38 +230,45 @@ def _blocks(a: np.ndarray) -> Blocks:
 
 @dataclass(frozen=True)
 class PassiveNetwork:
-    """Validated passive interconnect with its quadrature form and blocks.
+    """A passive interconnect: its size, its wiring and, built on first use, its matrices.
 
     ``wiring`` is the permutation of a wiring network (see the module
     docstring): column j of ``s_complex`` holds its 1 in row ``wiring[j]``,
     so input port j is wired to output port ``wiring[j]``.  It is None for
-    every other network.  It is read off ``s_complex`` on construction, so
-    it cannot disagree with it.
+    every other network.  A network made from a matrix reads it off that
+    matrix on construction, so it cannot disagree with it.  Made with no
+    matrix, the network is the N-NOPA chain: it holds the chain's wiring,
+    and ``s_complex`` is written from it on first use.  ``s_quad`` and
+    ``blocks`` are built on first use for every network.
     """
 
     n_nopas: int
-    s_complex: np.ndarray
-    s_quad: np.ndarray
-    blocks: Blocks
+    _matrix: np.ndarray | None = field(default=None, repr=False)
     wiring: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "wiring", _wiring(self.s_complex))
+        wiring = _cfb_wiring(self.n_nopas) if self._matrix is None else _wiring(self._matrix)
+        object.__setattr__(self, "wiring", wiring)
+
+    @cached_property
+    def s_complex(self) -> np.ndarray:
+        """The complex interconnect of size 2(N+1): the matrix given, or the chain's."""
+        return cfb_topology(self.n_nopas) if self._matrix is None else self._matrix
+
+    @cached_property
+    def s_quad(self) -> np.ndarray:
+        """The real quadrature form of ``s_complex``, of size 4(N+1)."""
+        return _quadrature(self.s_complex)
+
+    @cached_property
+    def blocks(self) -> Blocks:
+        """The 4 / 4N blocks of ``s_quad``, views of it."""
+        return _blocks(self.s_quad)
 
     @classmethod
     def from_complex(cls, s, n_nopas: int | None = None) -> "PassiveNetwork":
-        """Wrap an arbitrary complex unitary interconnect of size 2(N+1)."""
-        return cls._validated(as_matrix(s).astype(complex), n_nopas)
-
-    @classmethod
-    def cfb(cls, n: int) -> "PassiveNetwork":
-        """The N-NOPA coherent feedback chain."""
-        # a fresh array of exact 0s and 1s: nothing to copy, nothing non-finite
-        return cls._validated(cfb_topology(n))
-
-    @classmethod
-    def _validated(cls, a: np.ndarray, n_nopas: int | None = None) -> "PassiveNetwork":
-        """Check the complex matrix ``a``, which the network then owns, and wrap it."""
+        """Wrap an arbitrary complex unitary interconnect of size 2(N+1), checked now."""
+        a = as_matrix(s).astype(complex)  # a copy, which the network then owns
         if a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0 or a.shape[0] < 4:
             raise DimensionError(
                 f"interconnect must be square of size 2(N+1) >= 4, got {a.shape}"
@@ -264,11 +278,15 @@ class PassiveNetwork:
             raise DimensionError(
                 f"declared N={n_nopas} inconsistent with matrix size {a.shape[0]}"
             )
-        s_quad = _quadrature(a)
-        net = cls(n_nopas=n, s_complex=a, s_quad=s_quad, blocks=_blocks(s_quad))
+        net = cls(n, a)
         if net.wiring is None:  # a wiring network is unitary by its counts
             _require_unitary(a)
         return net
+
+    @classmethod
+    def cfb(cls, n: int) -> "PassiveNetwork":
+        """The N-NOPA coherent feedback chain: its wiring, exactly unitary, and no matrix yet."""
+        return cls(n)
 
     @classmethod
     def from_json(cls, path) -> "PassiveNetwork":

@@ -24,7 +24,10 @@ from nopanet import (
     static_coefficients,
     static_transfer,
     transfer,
+    vanishing_search,
 )
+from nopanet import network
+from nopanet.cli import EXIT_OK, main
 from nopanet.errors import (
     DimensionError,
     NopanetError,
@@ -413,13 +416,48 @@ class TestChainPoles:
         assert stability(p, PassiveNetwork.cfb(n)).eigenvalues.tobytes() == want.tobytes()
         assert lapack_calls == [("eigvals", (2, n, n))]
 
-    @pytest.mark.parametrize("n", [9, 64])
-    def test_a_chain_far_past_its_bound_falls_back(self, n, fallbacks):
-        # at 3 times the bound some cells hold two real roots, which the cell form does not split
-        p = NopaParams.from_normalized(3 * math.tan(math.pi / (4 * n)), 1.0)
-        report = stability(p, PassiveNetwork.cfb(n))
-        assert fallbacks == [n] and not report.stable
-        assert report.eigenvalues.tobytes() == split_spectrum(build_closed_loop(p, PassiveNetwork.cfb(n)).a).tobytes()
+    @pytest.mark.parametrize("big_k", [0.0, K_REF])
+    @pytest.mark.parametrize("n", [2, 5, 9, 64, 400])
+    def test_a_chain_far_past_its_bound_takes_both_real_roots(self, n, big_k, fallbacks):
+        # from about 3 times the bound on, some cells hold two real roots, and past
+        # 1/tan(pi/4N) times it r = epsilon/gamma > 1, which only NopaParams itself reaches
+        net = PassiveNetwork.cfb(n)
+        for fraction in (2.5, 2.95, 3.0, 3.5, 5.0, 7.5, 10.0):
+            r = fraction * math.tan(math.pi / (4 * n))
+            p = NopaParams(epsilon=r * GAMMA_R_REF, gamma=GAMMA_R_REF, kappa=big_k * r * GAMMA_R_REF)
+            report = stability(p, net)
+            assert not report.stable
+            assert spectral_gap(report.eigenvalues, split_spectrum(build_closed_loop(p, net).a)) <= 1e-12
+        assert fallbacks == []
+
+
+class TestChainNeverBuildsItsNetwork:
+    """Every chain route reads only N and the wiring, so a chain question never writes S,
+    its quadrature form or the blocks; the first dense consumer builds them, with the
+    bytes of the chain read from its matrix."""
+
+    @pytest.mark.parametrize("big_k", [0.0, K_REF])
+    @pytest.mark.parametrize("n", [1, 2, 40, 1000])
+    def test_routes_answer_without_the_matrices(self, n, big_k, monkeypatch, tmp_path):
+        x = 0.5 * math.tan(math.pi / (4 * n))
+        cfg = tmp_path / "chain.json"
+        cfg.write_text(json.dumps({"params": {"x": x, "y": 1, "K": big_k}, "topology": "cfb", "n_nopas": n}))
+        compare = tmp_path / "compare.json"
+        compare.write_text(json.dumps({"preset": "x10-text"}))
+        with monkeypatch.context() as m:
+            for name in ("_quadrature", "cfb_topology"):
+                m.setattr(network, name, lambda *_, name=name: pytest.fail(f"a chain question called {name}"))
+            net = PassiveNetwork.cfb(n)
+            assert stability(NopaParams.from_normalized(x, 1.0, big_k), net).stable
+            search = vanishing_search(static_transfer(static_coefficients(x, 1.0, big_k), net).h_n)
+            assert not search.vanished
+            assert main(["stability", "--config", str(cfg), "--out", str(tmp_path / "stability.txt")]) == EXIT_OK
+            assert main(["compare", "--config", str(compare), "--out", str(tmp_path / "compare.csv")]) == EXIT_OK
+        read = PassiveNetwork.from_complex(cfb_topology(n))
+        assert dynamics._is_chain(net) and dynamics._is_chain(read)
+        for got, want in zip(net.blocks, read.blocks):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestMirroredCustomNetwork:

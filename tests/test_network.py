@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,9 +240,9 @@ class TestWiring:
     def test_wiring_is_read_off_s_not_passed_in(self):
         chain, other = PassiveNetwork.cfb(3), PassiveNetwork.from_complex(random_unitary(np.random.default_rng(3), 8))
         with pytest.raises(TypeError):
-            PassiveNetwork(3, chain.s_complex, chain.s_quad, chain.blocks, wiring=None)
+            PassiveNetwork(3, chain.s_complex, wiring=None)
         for net in (chain, other):
-            built = PassiveNetwork(net.n_nopas, net.s_complex, net.s_quad, net.blocks)
+            built = PassiveNetwork(net.n_nopas, net.s_complex)
             assert (built.wiring is None) == (net.wiring is None)
             if net.wiring is not None:
                 assert np.array_equal(built.wiring, net.wiring)
@@ -325,6 +326,39 @@ class TestPartition:
     def test_rejects_bad_dims(self, shape):
         with pytest.raises(DimensionError):
             partition(np.zeros(shape))
+
+
+class TestChainIsItsWiring:
+    """``cfb`` holds N and the chain's wiring; S, its quadrature form and the blocks are
+    built on first use, with the bytes of the chain read from its matrix."""
+
+    def test_cfb_makes_no_matrix(self):
+        network._cfb_wiring.cache_clear()
+        tracemalloc.start()
+        try:
+            net = PassiveNetwork.cfb(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # S alone would be 64 MB
+        assert net.n_nopas == 1000 and net.wiring is network._cfb_wiring(1000)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 128])
+    def test_matrices_on_first_use(self, n):
+        net, read = PassiveNetwork.cfb(n), PassiveNetwork.from_complex(cfb_topology(n))
+        s = np.zeros((2 * (n + 1), 2 * (n + 1)), dtype=complex)  # +0.0 everywhere but the 1s
+        s[net.wiring, np.arange(2 * (n + 1))] = 1.0
+        pairs = [(net.s_complex, s), (net.s_quad, literal_quadrature(s))]
+        pairs += list(zip(net.blocks, partition(literal_quadrature(s))))
+        pairs += list(zip((net.s_complex, net.s_quad, *net.blocks), (read.s_complex, read.s_quad, *read.blocks)))
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert net.s_quad is net.s_quad and np.shares_memory(net.blocks.s22, net.s_quad)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_cfb_needs_a_nopa(self, n):
+        with pytest.raises(DimensionError):
+            PassiveNetwork.cfb(n)
 
 
 class TestPassiveNetwork:
