@@ -8,6 +8,7 @@ full double precision so they double as regression fixtures.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -266,12 +267,9 @@ def cmd_theorem(args) -> int:
     params, view = _params_from_config(cfg)
     net = _network_from_config(cfg)
     if params.kappa != 0:
-        print(
-            "error: closed forms cover the lossless case only; "
-            "use the spectrum command for kappa > 0",
-            file=sys.stderr,
+        raise ConfigError(
+            "closed forms cover the lossless case only; use the spectrum command for kappa > 0"
         )
-        return EXIT_CONFIG
     coeffs = _view_coefficients(view)
     result = closed_form(coeffs, net.n_nopas)
     st = static_transfer(coeffs, net)
@@ -442,9 +440,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.
+
+    ``parse_args`` leaves a parser as it found it and returns a new
+    namespace, so every ``main`` call can share it.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         code = args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

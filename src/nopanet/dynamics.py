@@ -212,10 +212,18 @@ def _first_pole(r: float, n: int):
     tau = 0 overshoots the root at most once, then descends to it.  Where
     |tau| N^2 < 1e-3 the slope is its series, whose first dropped term is
     below 1e-6 relative there; beyond, the closed form loses < 1e-12.
+
+    K carries a few ulps of rounding, so at its root a correction is that
+    rounding over |slope|.  Near rN = 1/2, where the root's |tau| is small
+    next to 1/N^2, this can exceed the 8-ulp stop, and Newton would cycle
+    between two tau.  So once K is zero to its rounding (8 ulps) and a
+    correction no longer shrinks, tau is the root.
     """
     end = (math.pi / n) ** 2
+    previous = math.inf  # the size of the last correction
 
     def step(tau):
+        nonlocal previous
         if tau > 0:
             th = math.sqrt(tau)
             k = math.log(r * math.sin(n * th) / math.tan(th / 2))
@@ -228,7 +236,11 @@ def _first_pole(r: float, n: int):
             k = math.log(2 * r * n)
         if abs(tau) * n * n < 1e-3:
             slope = -(2 * n * n + 1) / 12 - tau * (8 * n**4 + 7) / 720
-        return tau - min(tau - k / slope, (tau + end) / 2)  # halfway to the cell's end at most
+        dx = tau - min(tau - k / slope, (tau + end) / 2)  # halfway to the cell's end at most
+        if abs(k) <= 8 * _EPS and abs(dx) >= previous:
+            return 0.0  # Newton has met K's rounding: stop where it stands
+        previous = abs(dx)
+        return dx
 
     tau = _newton(step, 0.0, lambda tau: abs(tau) + 1 / (n * n))
     if tau is None:

@@ -21,7 +21,8 @@ from nopanet import (
     static_transfer,
     vanishing_search,
 )
-from nopanet.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, EXIT_VERIFY, main
+from nopanet import cli
+from nopanet.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, EXIT_VERIFY, build_parser, main
 from nopanet.errors import WellPosednessError
 from nopanet.oracles import random_unitary
 from tests.test_dynamics import crossed_wiring
@@ -340,12 +341,18 @@ class TestTheoremCommand:
         doc = json.loads(out.read_text())
         assert doc["u_discrepancy"] <= 1e-9
 
-    def test_lossy_rejected(self, tmp_path):
+    def test_lossy_rejected(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "lossy.json",
             {"params": {"x": 0.1, "y": 1.0, "K": 0.05}, "topology": "cfb", "n_nopas": 2},
         )
         assert main(["theorem", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: closed forms cover the lossless case only; "
+            "use the spectrum command for kappa > 0\n"
+        )
 
 
 class TestCompareCommand:
@@ -760,6 +767,52 @@ class TestUsageErrors:
         )
         assert done.returncode == EXIT_CONFIG
         assert "required: --config" in done.stderr
+
+
+class TestSharedParser:
+    """``main`` parses with one parser per process, and each call answers as a fresh one would."""
+
+    @staticmethod
+    def answers(argvs, capsys):
+        answered = []
+        for argv in argvs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            answered.append((code, captured.out, captured.err))
+        return answered
+
+    def test_one_parser_answers_as_fresh_ones(self, tmp_path, capsys, monkeypatch):
+        chain = write_json(
+            tmp_path / "chain.json",
+            {"params": {"x": 0.1, "y": 1.0}, "topology": "cfb", "n_nopas": 3},
+        )
+        custom = write_json(
+            tmp_path / "custom.json",
+            {
+                "topology": "custom",
+                "matrix_file": write_json(tmp_path / "m.json", matrix_doc(cfb_topology(2))),
+            },
+        )
+        # the replay names a config, which verify writes into its namespace
+        replay = write_json(tmp_path / "replay.json", {"seed": 4, "trials": 2, "config": custom})
+        compare = write_json(tmp_path / "compare.json", {"preset": "x10-caption"})
+        argvs = [
+            ["stability"],
+            ["verify", "--replay", replay],
+            ["stability", "--config", chain],
+            ["theorem", "--config", chain, "--format", "csv"],
+            ["compare", "--config", compare],
+            ["verify", "--seed", "3", "--trials", "2"],
+        ]
+        shared = self.answers(argvs, capsys)
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        assert shared == self.answers(argvs, capsys)
+        assert [code for code, _, _ in shared] == [EXIT_CONFIG] + [EXIT_OK] * 5
+        assert "config error: " in shared[0][2]
+        assert "custom-matrix unitarity: pass" in shared[1][1]
+        assert "custom-matrix" not in shared[-1][1]
+        assert build_parser() is not build_parser()
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

@@ -431,6 +431,65 @@ class TestChainPoles:
         assert fallbacks == []
 
 
+# x = f tan(pi/4N), y = 1: f over the band round rN = 1/2 where cell 0's root is near theta = 0,
+# and over the whole stable range
+NARROW_F = (0.55, 0.63, 4001)
+WIDE_F = (0.001, 0.999, 3000)
+# grid indices where cell 0's Newton cycled between two tau at the rounding of K, with
+# corrections just above its 8-ulp stop, so that the poles fell back to the split
+CYCLED = [
+    (NARROW_F, 2, [883, 894, 899, 932, 1034, 1047, 1095, 1129, 1140, 1160, 1169, 1188, 1213,
+                   1221, 1364, 2248, 2296]),
+    (NARROW_F, 9, [2161, 2182, 2194, 2215, 2275, 2457, 2467, 2479, 2499, 2540, 2546, 2570, 2600,
+                   2704, 2765, 2818, 2886, 2941, 3092, 3205, 3750, 3761, 3762, 3771, 3778, 3807]),
+    (NARROW_F, 64, [2665, 2728, 2759, 2762, 2773, 2825, 2939, 2955, 3011, 3030, 3109, 3902, 3913,
+                    3934, 3961, 3973]),
+    (NARROW_F, 128, [1899, 2749, 2775, 2818, 2876, 2885, 2912, 2995, 3025, 3908, 3926]),
+    (WIDE_F, 2, [1713]),
+    (WIDE_F, 3, [1532]),
+    (WIDE_F, 5, [1761, 1886, 1986]),
+    (WIDE_F, 9, [1790, 1799, 1808, 1873, 1897]),
+    (WIDE_F, 16, [1817]),
+    (WIDE_F, 64, [1887]),
+]
+
+
+def fraction_params(n, f):
+    return NopaParams.from_normalized(f * math.tan(math.pi / (4 * n)), 1.0)
+
+
+class TestFirstPoleAtTheRoundingFloor:
+    """Near rN = 1/2 cell 0's Newton stops at the rounding of K, not in the split fallback."""
+
+    @pytest.mark.parametrize(
+        "grid, n",
+        [(NARROW_F, n) for n in (2, 9, 64, 128)]
+        + [(WIDE_F, n) for n in (2, 3, 5, 9, 16, 64, 128, 400)],
+    )
+    def test_no_fallback(self, grid, n, fallbacks):
+        net = PassiveNetwork.cfb(n)
+        for f in np.linspace(*grid):
+            stability(fraction_params(n, f), net)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("grid, n, cycled", CYCLED)
+    def test_matches_the_split_oracle(self, grid, n, cycled):
+        net = PassiveNetwork.cfb(n)
+        for f in np.linspace(*grid)[cycled]:
+            p = fraction_params(n, f)
+            oracle = split_spectrum(build_closed_loop(p, net).a)
+            assert spectral_gap(stability(p, net).eigenvalues, oracle) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "grid, n, index",
+        [(NARROW_F, 2, 883), (NARROW_F, 2, 894), (NARROW_F, 9, 2161), (WIDE_F, 3, 1532),
+         (WIDE_F, 5, 1761), (WIDE_F, 9, 1790)],
+    )
+    def test_matches_40_digit_eigenvalues(self, grid, n, index):
+        p = fraction_params(n, np.linspace(*grid)[index])
+        assert spectral_gap(stability(p, PassiveNetwork.cfb(n)).eigenvalues, exact_poles(p, n)) <= 2e-15
+
+
 class TestChainNeverBuildsItsNetwork:
     """Every chain route reads only N and the wiring, so a chain question never writes S,
     its quadrature form or the blocks; the first dense consumer builds them, with the
