@@ -60,7 +60,7 @@ from .errors import (
     StabilityError,
     WellPosednessError,
 )
-from .linalg import eigenvalues, inverse, solve
+from .linalg import eigenvalues, inverse, solve_shifted
 from .network import NopaParams, PassiveNetwork, _cfb_wiring
 
 
@@ -388,29 +388,28 @@ def transfer(ss: StateSpace, omega) -> np.ndarray:
     """Frequency response H(i w) = C (i w I - A)^{-1} B + D.
 
     ``omega`` is a scalar, giving one 4 x (4 + 4N) matrix, or a 1-d array,
-    giving a stack of them, one per frequency, from one batched solve that
-    holds len(omega) complex 4N x 4N matrices.  The resolvent is never formed:
-    (i w I - A)^T X = C^T is solved and H = X^T B + D.  A non-finite omega
-    raises ``DimensionError``.
+    giving a stack of them, one per frequency.  The resolvent is never
+    formed: (i w I - A)^T X = C^T is solved for every w as one shifted
+    family of A^T (``linalg.solve_shifted``), which factors at most
+    ``linalg.SHIFTED_STACK_BYTES`` of it per LAPACK call, and only its q
+    half when A is mirrored, as on the chain.  H = X^T B + D, with X^T B as
+    one matrix product over the whole grid.  A non-finite omega raises
+    ``DimensionError``.
     """
     w = np.asarray(omega, dtype=float)
     if w.ndim > 1:
         raise DimensionError(f"omega must be a scalar or a 1-d array, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise DimensionError("omega must be finite")
-    dim = ss.a.shape[0]
-    # i w I - A^T built in place: one complex stack, no identity stack beside it
-    resolvent_t = np.empty(w.shape + (dim, dim), dtype=complex)
-    np.negative(ss.a.T, out=resolvent_t)
-    resolvent_t.reshape(w.shape + (dim * dim,))[..., :: dim + 1] += 1j * w[..., None]
     try:
-        x = solve(resolvent_t, ss.c.T)
+        x = solve_shifted(ss.a.T, 1j * w, ss.c.T)
     except SingularMatrixError as exc:
         at = w if exc.index is None else w[exc.index]
         raise StabilityError(
             f"resolvent singular at omega={float(at)}: system marginally stable ({exc})"
         ) from exc
-    return np.swapaxes(x, -1, -2) @ ss.b + ss.d
+    h = np.swapaxes(x, -1, -2).reshape(-1, ss.a.shape[0]) @ ss.b
+    return h.reshape(w.shape + ss.d.shape) + ss.d
 
 
 def scaled_response(r: float, k: float, w: float) -> NopaFrequencyResponse:

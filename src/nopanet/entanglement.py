@@ -24,8 +24,9 @@ from .linalg import eigenvalues
 
 SHOT_NOISE_TOTAL = 4.0
 
-# Frequencies per batched transfer in a spectrum: bounds the transient stack
-# to 64 complex 4N x 4N matrices (about 3 MB at N = 9) for any grid size.
+# Frequencies per batched transfer in a spectrum: bounds each batch's H and
+# solutions to 64 frequencies (0.16 MB of H at N = 9) for any grid size.  The
+# stack that transfer factors is bounded apart, by linalg.SHIFTED_STACK_BYTES.
 SPECTRUM_CHUNK = 64
 
 

@@ -17,14 +17,18 @@ the odd rows in the same LAPACK call as the even ones, and ``eigenvalues``
 returns the spectrum of q twice.  Sign flips are exact, so this is no
 approximation, and one LAPACK call of order n/2 costs about an eighth of
 one of order n.  Every other matrix, and every stack with a member that is
-not mirrored, takes the single dense call.  The paper's chain gives
-mirrored matrices in the interleaved (q, p) quadrature order -- its
-closed-loop A and resolvent i w I - A, and its static elimination matrix,
-which only the oracle ``extract_uv`` solves (``static_transfer`` writes the
-chain's H from its cascade): its real routing never mixes q with p nor the
-a rail with the b rail, and its pump term ab + a^dag b^dag is unchanged by
-a -> i a, b -> -i b, which flips the b signs of the q half to give the p
-half.
+not mirrored, takes the single dense call.  ``solve_shifted`` solves the
+family (s I - m) x = b over a grid of shifts s under the same rule, tested
+once on m itself: s I - m is mirrored whenever m is, so a mirrored m
+writes only the family s I - q of its q half, ``SHIFTED_STACK_BYTES`` of it
+per LAPACK call, and the whole stack of order n is never formed.  The
+paper's chain gives mirrored matrices in the interleaved (q, p) quadrature
+order -- its closed-loop A and resolvent i w I - A, and its static
+elimination matrix, which only the oracle ``extract_uv`` solves
+(``static_transfer`` writes the chain's H from its cascade): its real
+routing never mixes q with p nor the a rail with the b rail, and its pump
+term ab + a^dag b^dag is unchanged by a -> i a, b -> -i b, which flips the
+b signs of the q half to give the p half.
 """
 
 from __future__ import annotations
@@ -39,6 +43,11 @@ from .errors import DimensionError, NumericalError, SingularMatrixError
 # A system whose reciprocal 1-norm condition estimate is below this counts as
 # singular: its solution has lost every significant digit.
 RCOND_MIN = 1e-14
+
+# The most bytes of shifted matrices that one LAPACK call of ``solve_shifted``
+# factors: 64 complex members of order 45 or less, so every network of up to
+# 11 NOPAs (order 44, or 22 at half order) keeps whole 64-frequency batches.
+SHIFTED_STACK_BYTES = 2**21
 
 
 def as_matrix(m) -> np.ndarray:
@@ -84,13 +93,19 @@ def _rcond(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         return 1.0 / (a_norm * np.maximum.reduce(growth, axis=-1))
 
 
-def _raise_singular(a: np.ndarray, rcond: np.ndarray | None):
-    """Raise for the worst matrix of a stack: least rcond, or zero det if LU broke down."""
+def _raise_singular(a: np.ndarray, rcond: np.ndarray | None, offset: int = 0):
+    """Raise for the worst matrix of a stack: least rcond, or zero det if LU broke down.
+
+    ``offset`` is added to the first stack index, for a stack that is one
+    batch of a longer one.
+    """
     key = rcond
     if rcond is None:  # only a determinant names the singular member
         with np.errstate(all="ignore"):
             key = np.abs(np.linalg.det(a))
     worst = tuple(int(i) for i in np.unravel_index(np.argmin(key), key.shape))
+    if worst:
+        worst = (worst[0] + offset,) + worst[1:]
     worst_rcond = 0.0 if rcond is None else float(np.nan_to_num(rcond[worst]))
     where = f" (stack index {worst})" if worst else ""
     raise SingularMatrixError(
@@ -134,14 +149,8 @@ def solve(m, b) -> np.ndarray:
     rhs = np.asarray(b)
     if rhs.ndim < 2 or rhs.shape[-2] != a.shape[-1]:
         raise DimensionError(f"right-hand side of shape {rhs.shape} does not fit {a.shape}")
-    n, k = rhs.shape[-2:]
-    probe = _probe(n)
-    if rhs.ndim > 2:
-        probe = np.broadcast_to(probe, rhs.shape[:-1] + (1,))
-    rhs = np.concatenate([rhs, probe], axis=-1)
-    if rhs.ndim < a.ndim:
-        # a leading unit axis keeps b a stack of matrices for every numpy version
-        rhs = rhs.reshape((1,) * (a.ndim - rhs.ndim) + rhs.shape)
+    k = rhs.shape[-1]
+    rhs = _probed(rhs, a.ndim)
     q = _mirrored_half(a)
     try:
         x = np.linalg.solve(a, rhs) if q is None else _solve_mirrored(q, rhs)
@@ -149,6 +158,65 @@ def solve(m, b) -> np.ndarray:
         _raise_singular(a, None)
     _check_condition(a, x, rhs)
     return x[..., :k]
+
+
+def _probed(rhs: np.ndarray, ndim: int) -> np.ndarray:
+    """[rhs | z], with z the probe of its order, and at least ``ndim`` dimensions."""
+    probe = _probe(rhs.shape[-2])
+    if rhs.ndim > 2:
+        probe = np.broadcast_to(probe, rhs.shape[:-1] + (1,))
+    rhs = np.concatenate([rhs, probe], axis=-1)
+    if rhs.ndim < ndim:
+        # a leading unit axis keeps b a stack of matrices for every numpy version
+        rhs = rhs.reshape((1,) * (ndim - rhs.ndim) + rhs.shape)
+    return rhs
+
+
+def solve_shifted(m, shifts, b) -> np.ndarray:
+    """Solve (s I - m) x = b for every shift s of a scalar or 1-d ``shifts``.
+
+    ``m`` is one square matrix and ``b`` its right-hand sides, ``(n, k)``;
+    the complex x stacks the solutions along ``shifts``, in the shape
+    ``shifts.shape + (n, k)``.  For shifts on the imaginary axis, as in a
+    transfer, the result, its condition check and its
+    ``SingularMatrixError`` (whose index is into ``shifts``) are those of
+    ``solve`` on the stack s I - m, bit for bit, but that stack is never
+    written.  m is tested for the mirror once: s I - m is mirrored when m
+    is, and for imaginary s only then.  Then each batch of at most
+    ``SHIFTED_STACK_BYTES`` writes only the family s I - q of m's q half
+    when m is mirrored (else s I - m), and the 1-norm of each member is
+    read off what was written: in the whole member the odd block adds only
+    exact zeros to q's column sums, and |D q D| = |q|.
+    """
+    a = _require_square(np.asarray(m))
+    s = np.asarray(shifts)
+    rhs = np.asarray(b)
+    if s.ndim > 1:
+        raise DimensionError(f"shifts must be a scalar or a 1-d array, got shape {s.shape}")
+    if rhs.ndim != 2 or rhs.shape[0] != a.shape[0]:
+        raise DimensionError(f"right-hand side of shape {rhs.shape} does not fit {a.shape}")
+    rhs = _probed(rhs, 2 + s.ndim)
+    q = _mirrored_half(a)
+    half = a if q is None else q
+    order = half.shape[0]
+    per_call = max(1, SHIFTED_STACK_BYTES // (16 * max(order * order, 1)))
+    xs, rconds = [], []
+    for start in range(0, max(s.size, 1), per_call):
+        part = s[start : start + per_call] if s.ndim else s
+        stack = np.empty(part.shape + half.shape, dtype=complex)
+        np.negative(half, out=stack)
+        stack.reshape(part.shape + (order * order,))[..., :: order + 1] += part[..., None]
+        try:
+            x = np.linalg.solve(stack, rhs) if q is None else _solve_mirrored(stack, rhs)
+        except np.linalg.LinAlgError:
+            _raise_singular(stack, None, start)
+        xs.append(x)
+        rconds.append(_rcond(stack, x, rhs))
+    x = xs[0] if len(xs) == 1 else np.concatenate(xs)
+    rcond = rconds[0] if len(rconds) == 1 else np.concatenate(rconds)
+    if not (rcond >= RCOND_MIN).all():  # NaN fails too
+        _raise_singular(None, rcond)
+    return x[..., :-1]
 
 
 def _solve_mirrored(q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -168,11 +236,13 @@ def _mirrored_half(a: np.ndarray):
     entries whose row and column have the same parity are equal and the
     others opposite: one exact comparison with p times that sign pattern
     costs a quarter of four sub-block ones at the orders of a short chain.
+    ``count_nonzero`` makes each test one C call, for the small matrices of a
+    transfer at one frequency.
     """
-    if a.shape[-1] < 2 or a[..., 0::2, 1::2].any() or a[..., 1::2, 0::2].any():
+    if a.shape[-1] < 2 or np.count_nonzero(a[..., 0::2, 1::2]) or np.count_nonzero(a[..., 1::2, 0::2]):
         return None
     q, p = a[..., 0::2, 0::2], a[..., 1::2, 1::2]
-    return q if q.shape == p.shape and (q == p * _d_signs(q.shape[-1])[0]).all() else None
+    return q if q.shape == p.shape and not np.count_nonzero(q != p * _d_signs(q.shape[-1])[0]) else None
 
 
 @lru_cache(maxsize=16)

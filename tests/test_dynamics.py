@@ -602,20 +602,20 @@ class TestQuadratureSplit:
 
     @pytest.mark.parametrize("big_k", [0.0, K_REF])
     @pytest.mark.parametrize("n", [2, 9, 64])
-    def test_chain_matrices_mirror(self, n, big_k, monkeypatch):
+    def test_chain_matrices_mirror(self, n, big_k, lapack_calls):
         # a -> i a, b -> -i b keeps the chain: the p half is the q half with its b signs flipped
         net = PassiveNetwork.cfb(n)
         x = 0.5 * math.tan(math.pi / (4 * n))
         p = NopaParams.from_normalized(x, 1.0, big_k)
         ss = build_closed_loop(p, net)
-        solved = []
-        monkeypatch.setattr(dynamics, "solve", lambda m, b: solved.append(m) or linalg.solve(m, b))
         omegas = np.array([0.0, 0.3, 2.0]) * p.gamma
         transfer(ss, omegas)
-        (resolvent_t,) = solved
-        assert np.array_equal(resolvent_t, np.multiply.outer(1j * omegas, np.eye(4 * n)) - ss.a.T)
+        # the family i w I - A^T is mirrored, so LAPACK sees only its q half, never order 4N
+        assert lapack_calls == [("solve", (3, 2 * n, 2 * n))]
+        resolvent_t = np.multiply.outer(1j * omegas, np.eye(4 * n)) - ss.a.T
         matrices = (
             ss.a,
+            ss.a.T,
             np.eye(4 * n) - net.blocks.s22,
             elimination_matrix(static_coefficients(x, 1.0, big_k), net).T,
             resolvent_t,
@@ -742,6 +742,106 @@ class TestBatchedTransfer:
         ss = build_closed_loop(NopaParams.from_normalized(0.1, 1.0), PassiveNetwork.cfb(2))
         with pytest.raises(DimensionError):
             transfer(ss, omega)
+
+
+def full_stack_transfer(ss, omega):
+    """H from ``linalg.solve`` on the whole stack i w I - A^T, then X^T B + D (a batched product)."""
+    w = np.asarray(omega, dtype=float)
+    dim = ss.a.shape[0]
+    resolvent_t = np.empty(w.shape + (dim, dim), dtype=complex)
+    np.negative(ss.a.T, out=resolvent_t)
+    resolvent_t.reshape(w.shape + (dim * dim,))[..., :: dim + 1] += 1j * w[..., None]
+    return np.swapaxes(linalg.solve(resolvent_t, ss.c.T), -1, -2) @ ss.b + ss.d
+
+
+def family_cases():
+    """Chains (mirrored) and seeded random-unitary networks (not mirrored), lossless and lossy."""
+    cases = []
+    for n in (1, 2, 3, 5, 9, 16):
+        for big_k in (0.0, K_REF):
+            cases.append(pytest.param(n, big_k, None, id=f"chain-{n}-{big_k}"))
+    for n, seed in ((1, 3), (2, 5), (3, 8), (5, 13)):
+        cases.append(pytest.param(n, K_REF, seed, id=f"unitary-{n}-{seed}"))
+    return cases
+
+
+def family_system(n, big_k, seed):
+    if seed is None:
+        x = 0.5 * math.tan(math.pi / (4 * n)) if n > 1 else 0.4
+        return NopaParams.from_normalized(x, 1.0, big_k), PassiveNetwork.cfb(n)
+    net = PassiveNetwork.from_complex(random_unitary(np.random.default_rng(seed), 2 * n + 2))
+    return NopaParams.from_normalized(0.05, 1.0, big_k), net
+
+
+FAMILY_GRIDS = {
+    "scalar-0": lambda g: 0.0,
+    "scalar": lambda g: 0.3 * g,
+    "empty": lambda g: np.array([]),
+    "one": lambda g: np.array([0.7 * g]),
+    "seven": lambda g: np.linspace(0.0, 3.0 * g, 7),
+    "130": lambda g: np.linspace(-2.0 * g, 5.0 * g, 130),
+}
+
+
+def same_bytes(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestShiftedFamily:
+    """``transfer`` solves i w I - A^T as one shifted family of A^T: the q half's family on a
+    mirrored A, a byte budget of it per LAPACK call; H and the condition verdict are those of
+    the whole stack, bit for bit."""
+
+    @pytest.mark.parametrize("grid", list(FAMILY_GRIDS))
+    @pytest.mark.parametrize("n, big_k, seed", family_cases())
+    def test_matches_the_full_stack_bit_for_bit(self, n, big_k, seed, grid):
+        p, net = family_system(n, big_k, seed)
+        ss = build_closed_loop(p, net)
+        omega = FAMILY_GRIDS[grid](p.gamma)
+        assert (linalg._mirrored_half(ss.a) is not None) == (seed is None)
+        assert same_bytes(transfer(ss, omega), full_stack_transfer(ss, omega))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+    @pytest.mark.parametrize(
+        "grid",
+        [0.0, [1e9, 0.0, 2e9], np.concatenate([np.linspace(1e8, 1e9, 100), [0.0], np.linspace(2e9, 3e9, 30)])],
+        ids=["scalar", "three", "131"],
+    )
+    def test_marginal_system_raises_as_the_full_stack(self, n, grid):
+        _, ss = chain(n, math.tan(math.pi / (4 * n)) if n > 1 else 1.0)
+        with pytest.raises(SingularMatrixError) as want:
+            full_stack_transfer(ss, grid)
+        with pytest.raises(StabilityError) as got:
+            transfer(ss, grid)
+        cause = got.value.__cause__
+        assert str(cause) == str(want.value)
+        assert (cause.rcond, cause.index) == (want.value.rcond, want.value.index)
+        assert np.ndim(grid) or cause.index is None
+
+    def test_batches_stay_within_the_byte_budget(self, monkeypatch, lapack_calls):
+        p = NopaParams.from_normalized(0.5 * math.tan(math.pi / 240), 1.0, K_REF)
+        ss = build_closed_loop(p, PassiveNetwork.cfb(60))
+        omegas = np.linspace(0.0, 3.0 * p.gamma, 64)
+        h = transfer(ss, omegas)
+        # 64 members of order 120 (the q half) are 14.7 MB: the budget makes batches of 9
+        assert [shape for _, shape in lapack_calls] == [(9, 120, 120)] * 7 + [(1, 120, 120)]
+        assert 9 * 120 * 120 * 16 <= linalg.SHIFTED_STACK_BYTES
+        monkeypatch.setattr(linalg, "SHIFTED_STACK_BYTES", 2**40)
+        lapack_calls.clear()
+        assert same_bytes(h, transfer(ss, omegas))
+        assert lapack_calls == [("solve", (64, 120, 120))]
+
+    def test_a_singular_member_of_a_later_batch_names_its_own_omega(self, monkeypatch):
+        _, ss = chain(2, math.tan(math.pi / 8))
+        omegas = np.array([1e9, 2e9, 3e9, 4e9, 5e9, 6e9, 7e9, 0.0, 8e9, 9e9])
+        with pytest.raises(SingularMatrixError) as want:
+            full_stack_transfer(ss, omegas)
+        monkeypatch.setattr(linalg, "SHIFTED_STACK_BYTES", 3 * 4 * 4 * 16)  # three q halves
+        with pytest.raises(StabilityError, match=r"omega=0\.0") as got:
+            transfer(ss, omegas)
+        cause = got.value.__cause__
+        assert cause.index == (7,) and str(cause) == str(want.value)
+        assert cause.rcond == want.value.rcond
 
 
 def chain(n, x, y=1.0):

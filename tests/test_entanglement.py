@@ -1,6 +1,7 @@
 """Squeezing-variance tests against hand-computed single-chain values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from nopanet import (
     transfer,
     vanishing_search,
 )
-from nopanet.entanglement import SHOT_NOISE_TOTAL, SPECTRUM_CHUNK
+from nopanet.entanglement import SHOT_NOISE_TOTAL, SPECTRUM_CHUNK, _variances
 from nopanet.errors import DimensionError, StabilityError
+from nopanet.network import K_REF
+from tests.test_dynamics import family_cases, family_system, full_stack_transfer
 
 
 class TestSqueezing:
@@ -143,6 +146,50 @@ class TestSqueezingSpectrum:
         (r,) = squeezing_spectrum(ss, [0.5 * p.gamma], 0.2, 0.3)
         assert r.omega == pytest.approx(0.5 * p.gamma)
         assert (r.theta_a, r.theta_b) == (0.2, 0.3)
+
+
+class TestSpectrumFromTheShiftedFamily:
+    """``squeezing_spectrum`` through the shifted family gives the bits of the whole stack."""
+
+    @pytest.mark.parametrize("points", [0, 1, 7, 130])
+    @pytest.mark.parametrize("n, big_k, seed", family_cases())
+    def test_matches_the_full_stack_bit_for_bit(self, n, big_k, seed, points):
+        p, net = family_system(n, big_k, seed)
+        ss = build_closed_loop(p, net)
+        omegas = np.linspace(0.0, 3.0 * p.gamma, points)
+        got = np.array([(r.v_plus, r.v_minus) for r in squeezing_spectrum(ss, omegas, 0.4, -1.3)])
+        want = np.empty((points, 2))
+        for start in range(0, points, SPECTRUM_CHUNK):
+            part = slice(start, start + SPECTRUM_CHUNK)
+            want[part] = _variances(full_stack_transfer(ss, omegas[part]), 0.4, -1.3)
+        assert got.reshape(-1, 2).tobytes() == want.tobytes()
+
+
+def spectrum_peak_bytes(n, big_k, points):
+    """tracemalloc peak of one squeezing spectrum of the chain at half its bound (numpy reports
+    its buffers to tracemalloc)."""
+    p = NopaParams.from_normalized(0.5 * math.tan(math.pi / (4 * n)), 1.0, big_k)
+    ss = build_closed_loop(p, PassiveNetwork.cfb(n))
+    omegas = np.linspace(0.0, 3.0 * p.gamma, points)
+    squeezing_spectrum(ss, omegas[:2])  # caches filled before the trace
+    tracemalloc.start()
+    try:
+        squeezing_spectrum(ss, omegas)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSpectrumMemory:
+    """The family solve writes only the q half's family, a byte budget of it at a time."""
+
+    def test_short_chain_over_a_long_grid(self):
+        # the whole 4N-order stack of one 64-frequency batch alone was 1.33 MB here
+        assert spectrum_peak_bytes(9, 0.0, 1024) <= 1.2e6
+
+    def test_long_lossy_chain(self):
+        # 64 whole resolvents of order 400 were 164 MB; 64 q halves would be 41 MB
+        assert spectrum_peak_bytes(100, K_REF, 64) <= 16e6
 
 
 def brute_force_minimum(h, points=64):

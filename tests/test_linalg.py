@@ -151,6 +151,33 @@ class TestSolve:
             linalg.solve(np.eye(3), np.ones((2, 1)))
 
 
+class TestSolveShifted:
+    """(s I - m) x = b over a grid of shifts: each member solves as ``solve`` would."""
+
+    def test_family_of_a_plain_matrix(self):
+        rng = np.random.default_rng(4)
+        m, b = rng.normal(size=(5, 5)), rng.normal(size=(5, 2))
+        shifts = np.array([0.5j, 1.0 + 2j, -3.0])
+        x = linalg.solve_shifted(m, shifts, b)
+        assert x.shape == (3, 5, 2) and x.dtype == complex
+        for s, xs in zip(shifts, x):
+            want = linalg.solve(s * np.eye(5) - m, b)
+            assert xs.tobytes() == want.tobytes()
+        assert linalg.solve_shifted(m, shifts[1], b).shape == (5, 2)
+
+    def test_an_exactly_singular_member_of_a_later_batch(self, monkeypatch):
+        # m = 0 has a zero pivot at s = 0: LU breaks down, and the determinant names the member
+        monkeypatch.setattr(linalg, "SHIFTED_STACK_BYTES", 2 * 3 * 3 * 16)
+        with pytest.raises(SingularMatrixError, match=r"stack index \(4,\)") as err:
+            linalg.solve_shifted(np.zeros((3, 3)), np.array([1, 2, 3, 4, 0, 5]) * 1j, np.eye(3))
+        assert err.value.index == (4,) and err.value.rcond == 0.0
+
+    @pytest.mark.parametrize("shifts, b", [(np.zeros((2, 2)), np.eye(4, 1)), (0.0, np.eye(3, 1)), (0.0, np.ones(4))])
+    def test_rejects_bad_shapes(self, shifts, b):
+        with pytest.raises(DimensionError):
+            linalg.solve_shifted(np.eye(4), shifts, b)
+
+
 class TestEigenvalues:
     def test_diagonal(self):
         evs = sorted(linalg.eigenvalues(np.diag([-1.0, -2.0])).real)
