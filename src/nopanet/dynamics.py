@@ -49,7 +49,7 @@ also the tests' oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,12 +66,14 @@ from .network import NopaParams, PassiveNetwork, _cfb_wiring
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Real (A, B, C, D) realization of the closed-loop system."""
+    """Real (A, B, C, D) realization of the closed-loop system, with the NOPAs and network it closes."""
 
     a: np.ndarray  # 4N x 4N
     b: np.ndarray  # 4N x (4 + 4N)
     c: np.ndarray  # 4 x 4N
     d: np.ndarray  # 4 x (4 + 4N)
+    params: NopaParams = field(compare=False)
+    network: PassiveNetwork = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,7 @@ def build_closed_loop(p: NopaParams, net: PassiveNetwork) -> StateSpace:
     c = sg * s12 @ loop
     d = np.hstack([s11 + s12 @ loop @ s21, np.zeros((4, 4 * n))])
     # A last: it is written over L
-    return StateSpace(a=_drift(loop, p.gamma, build_a1(p)), b=b, c=c, d=d)
+    return StateSpace(a=_drift(loop, p.gamma, build_a1(p)), b=b, c=c, d=d, params=p, network=net)
 
 
 def stability(p: NopaParams, net: PassiveNetwork) -> StabilityReport:

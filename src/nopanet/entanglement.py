@@ -18,9 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import StateSpace, transfer
+from .dynamics import StateSpace, stability, transfer
 from .errors import DimensionError, StabilityError
-from .linalg import eigenvalues
 
 SHOT_NOISE_TOTAL = 4.0
 
@@ -84,18 +83,20 @@ def squeezing_spectrum(
 ) -> list[SqueezingResult]:
     """Per-frequency squeezing of a stable closed loop.
 
-    The transfer is evaluated in batches of ``SPECTRUM_CHUNK`` frequencies,
-    and V+/V- are the squared norms of the two rotated rows of each H.
+    The Hurwitz verdict is ``stability``'s on the NOPAs and network that
+    ``ss`` closes, so a chain's comes from its poles.  The transfer is
+    evaluated in batches of ``SPECTRUM_CHUNK`` frequencies, and V+/V- are
+    the squared norms of the two rotated rows of each H.
     """
-    spec = eigenvalues(ss.a)
-    if np.max(spec.real) >= 0:
-        raise StabilityError(
-            f"system is unstable (spectral abscissa {np.max(spec.real):.3e}); "
-            "squeezing spectra are meaningless"
-        )
     w = np.asarray(omegas, dtype=float)
     if w.ndim != 1:
         raise DimensionError(f"omegas must be a 1-d sequence, got shape {w.shape}")
+    report = stability(ss.params, ss.network)
+    if not report.stable:
+        raise StabilityError(
+            f"system is unstable (spectral abscissa {report.spectral_abscissa:.3e}); "
+            "squeezing spectra are meaningless"
+        )
     variances = np.empty((len(w), 2))
     for start in range(0, len(w), SPECTRUM_CHUNK):
         part = slice(start, start + SPECTRUM_CHUNK)

@@ -8,27 +8,23 @@ test is scale-free, so it holds for entries of any magnitude and any size.
 ``solve`` estimates it with a probe column of its own added to the caller's,
 and ``inverse`` is ``solve`` against the identity.
 
-One structural rule holds at every size.  A matrix is *mirrored* when no
-entry couples an even index with an odd one and its odd half
+``solve``, ``inverse`` and ``eigenvalues`` each make one dense LAPACK call
+on what they are given.  ``solve_shifted`` solves the family (s I - m) x = b
+over a grid of shifts s, at most ``SHIFTED_STACK_BYTES`` of it per LAPACK
+call, and it alone uses one structural rule.  A matrix is *mirrored* when
+no entry couples an even index with an odd one and its odd half
 p = a[1::2, 1::2] equals D q D, with q = a[0::2, 0::2] and
-D = diag(1, -1, 1, ...), compared entry by entry with no tolerance.  Then
-only q is factored: ``solve`` (and so ``inverse``) solves q (D x) = D b for
-the odd rows in the same LAPACK call as the even ones, and ``eigenvalues``
-returns the spectrum of q twice.  Sign flips are exact, so this is no
+D = diag(1, -1, 1, ...), compared entry by entry with no tolerance.  m is
+tested once per call, and s I - m is mirrored whenever m is, so a mirrored
+m writes only the family s I - q of its q half and solves q (D x) = D b
+for the odd rows in the same LAPACK call as the even ones: the stack of
+order n is never formed.  Sign flips are exact, so this is no
 approximation, and one LAPACK call of order n/2 costs about an eighth of
-one of order n.  Every other matrix, and every stack with a member that is
-not mirrored, takes the single dense call.  ``solve_shifted`` solves the
-family (s I - m) x = b over a grid of shifts s under the same rule, tested
-once on m itself: s I - m is mirrored whenever m is, so a mirrored m
-writes only the family s I - q of its q half, ``SHIFTED_STACK_BYTES`` of it
-per LAPACK call, and the whole stack of order n is never formed.  The
-paper's chain gives mirrored matrices in the interleaved (q, p) quadrature
-order -- its closed-loop A and resolvent i w I - A, and its static
-elimination matrix, which only the oracle ``extract_uv`` solves
-(``static_transfer`` writes the chain's H from its cascade): its real
-routing never mixes q with p nor the a rail with the b rail, and its pump
-term ab + a^dag b^dag is unchanged by a -> i a, b -> -i b, which flips the
-b signs of the q half to give the p half.
+one of order n.  The paper's chain has a mirrored closed-loop A in the
+interleaved (q, p) quadrature order, and so mirrored resolvents i w I - A:
+its real routing never mixes q with p nor the a rail with the b rail, and
+its pump term ab + a^dag b^dag is unchanged by a -> i a, b -> -i b, which
+flips the b signs of the q half to give the p half.
 """
 
 from __future__ import annotations
@@ -139,11 +135,6 @@ def solve(m, b) -> np.ndarray:
     The estimate also takes a probe column z (``_probe``) solved with b: z has
     no symmetry of any network, so only by accident is it orthogonal to a
     near-null direction that b does not see.  Only b's columns are returned.
-
-    A mirrored system (see the module docstring) makes one solve of its even
-    half q against [b_even | D b_odd], with x_odd = D times the second
-    block.  Any other system takes the one dense call.  The condition check
-    runs on the whole system.
     """
     a = _square_stack(m)
     rhs = np.asarray(b)
@@ -151,9 +142,8 @@ def solve(m, b) -> np.ndarray:
         raise DimensionError(f"right-hand side of shape {rhs.shape} does not fit {a.shape}")
     k = rhs.shape[-1]
     rhs = _probed(rhs, a.ndim)
-    q = _mirrored_half(a)
     try:
-        x = np.linalg.solve(a, rhs) if q is None else _solve_mirrored(q, rhs)
+        x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         _raise_singular(a, None)
     _check_condition(a, x, rhs)
@@ -177,16 +167,15 @@ def solve_shifted(m, shifts, b) -> np.ndarray:
 
     ``m`` is one square matrix and ``b`` its right-hand sides, ``(n, k)``;
     the complex x stacks the solutions along ``shifts``, in the shape
-    ``shifts.shape + (n, k)``.  For shifts on the imaginary axis, as in a
-    transfer, the result, its condition check and its
-    ``SingularMatrixError`` (whose index is into ``shifts``) are those of
-    ``solve`` on the stack s I - m, bit for bit, but that stack is never
-    written.  m is tested for the mirror once: s I - m is mirrored when m
-    is, and for imaginary s only then.  Then each batch of at most
-    ``SHIFTED_STACK_BYTES`` writes only the family s I - q of m's q half
-    when m is mirrored (else s I - m), and the 1-norm of each member is
-    read off what was written: in the whole member the odd block adds only
-    exact zeros to q's column sums, and |D q D| = |q|.
+    ``shifts.shape + (n, k)``.  Each batch of at most ``SHIFTED_STACK_BYTES``
+    writes the family s I - m and solves it as ``solve`` solves that stack,
+    bit for bit, with a ``SingularMatrixError`` whose index is into
+    ``shifts``.  When m is mirrored (module docstring), a batch writes only
+    the family s I - q of m's q half and makes one solve of it against
+    [b_even | D b_odd], with x_odd = D times the second block.  The
+    condition check then reads the 1-norm of each whole member off its q
+    half, bit for bit: the odd block adds only exact zeros to q's column
+    sums, and |D q D| = |q|.
     """
     a = _require_square(np.asarray(m))
     s = np.asarray(shifts)
@@ -220,7 +209,7 @@ def solve_shifted(m, shifts, b) -> np.ndarray:
 
 
 def _solve_mirrored(q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve diag(q, D q D) x = rhs, with the rows of x and rhs in parity order."""
+    """Solve diag(q, D q D) x = rhs for q or a stack of them, with the rows of x and rhs in parity order."""
     # rows (2i, 2i + 1) of rhs side by side are row i of [b_even | b_odd]
     batch, (m, k) = rhs.shape[:-2], (q.shape[-1], rhs.shape[-1])
     signs = _d_signs(m)[1]  # D on the odd block
@@ -230,19 +219,18 @@ def _solve_mirrored(q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _mirrored_half(a: np.ndarray):
-    """The even-index half q of ``a`` if ``a`` is mirrored (module docstring), else None.
+    """The even-index half q of the square matrix ``a`` if it is mirrored (module docstring), else None.
 
-    A stack qualifies only if every matrix does.  p = D q D holds when
-    entries whose row and column have the same parity are equal and the
-    others opposite: one exact comparison with p times that sign pattern
-    costs a quarter of four sub-block ones at the orders of a short chain.
-    ``count_nonzero`` makes each test one C call, for the small matrices of a
-    transfer at one frequency.
+    p = D q D holds when entries whose row and column have the same parity
+    are equal and the others opposite: one exact comparison with p times
+    that sign pattern costs a quarter of four sub-block ones at the orders
+    of a short chain.  ``count_nonzero`` makes each test one C call, for the
+    small matrices of a transfer at one frequency.
     """
-    if a.shape[-1] < 2 or np.count_nonzero(a[..., 0::2, 1::2]) or np.count_nonzero(a[..., 1::2, 0::2]):
+    if len(a) < 2 or np.count_nonzero(a[0::2, 1::2]) or np.count_nonzero(a[1::2, 0::2]):
         return None
-    q, p = a[..., 0::2, 0::2], a[..., 1::2, 1::2]
-    return q if q.shape == p.shape and not np.count_nonzero(q != p * _d_signs(q.shape[-1])[0]) else None
+    q, p = a[0::2, 0::2], a[1::2, 1::2]
+    return q if q.shape == p.shape and not np.count_nonzero(q != p * _d_signs(len(q))[0]) else None
 
 
 @lru_cache(maxsize=16)
@@ -262,9 +250,9 @@ def _d_signs(m: int):
 def inverse(m) -> np.ndarray:
     """Matrix inverse, rejecting inputs with rcond below ``RCOND_MIN``.
 
-    ``solve`` against the identity, so a mirrored matrix factors only its q
-    half, and the identity's columns make the condition check exact in the
-    1-norm.  The result is a C-contiguous array of its own.
+    ``solve`` against the identity, so the identity's columns make the
+    condition check exact in the 1-norm.  The result is a C-contiguous array
+    of its own.
     """
     a = _require_square(as_matrix(m))
     return np.ascontiguousarray(solve(a, np.eye(len(a))))
@@ -274,18 +262,12 @@ def eigenvalues(m) -> np.ndarray:
     """Full complex spectrum of a square matrix or of each matrix of a stack, ``(..., n, n)``.
 
     Multiplicities are included, and a stack gives one row of n eigenvalues
-    per matrix.  A mirrored matrix (see the module docstring) is similar to
-    diag(q, q), so the spectrum of its even half q is computed once and
-    returned twice.  Any other matrix, and any stack with a member that is
-    not mirrored, takes the one dense call.
+    per matrix.
     """
     a = _square_stack(m)
     if not np.all(np.isfinite(a)):
         raise DimensionError("matrix contains non-finite entries")
-    q = _mirrored_half(a)
     try:
-        if q is None:
-            return np.linalg.eigvals(a)
-        return np.concatenate([np.linalg.eigvals(q)] * 2, axis=-1)
+        return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed: {exc}") from exc

@@ -7,7 +7,8 @@ brute-force inversion (``extract_uv``).  The chain's elimination matrix lies
 in a closed class of block matrices, scalar * I2 on even parity and scalar * R
 on odd parity with central symmetry (``is_l2_matrix``, ``random_l2_matrix``).
 ``property_trial`` is one randomized trial of every ``nopanet verify`` suite.
-No production module imports this one.
+Only ``cli`` imports this module: ``theorem`` reports ``extract_uv``'s (u, v)
+beside the closed form, and ``verify`` runs ``property_trial``.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from nopanet.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNSTABLE, EXIT_VERIFY, build_
 from nopanet.errors import WellPosednessError
 from nopanet.oracles import random_unitary
 from tests.test_dynamics import crossed_wiring
+from tests.test_linalg import lapack_calls  # noqa: F401 (a fixture)
 
 
 def write_json(path, doc):
@@ -151,6 +152,19 @@ class TestSpectrumCommand:
         rows = json.loads(out.read_text())
         assert len(rows) == 5
         assert {"omega_rad_s", "v_plus", "v_minus", "v_total", "entangled"} <= rows[0].keys()
+
+    @pytest.mark.parametrize("n", [2, 9, 128])
+    def test_chain_makes_only_half_order_solves(self, n, tmp_path, lapack_calls):
+        # the verdict comes from the chain's poles, with no eigvals call; the only LAPACK calls
+        # are transfer's solves of the q half's shifted family
+        x = 0.5 * math.tan(math.pi / (4 * n))
+        cfg = self.spectrum_cfg(
+            tmp_path, params={"x": x, "y": 1.0, "K": 0.0491}, n_nopas=n, theta_a="optimal", theta_b="optimal"
+        )
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "spec.csv")]) == EXIT_OK
+        assert lapack_calls
+        assert all(name == "solve" and shape[1:] == (2 * n, 2 * n) for name, shape in lapack_calls)
+        assert sum(shape[0] for _, shape in lapack_calls) == 5
 
     def test_optimal_theta_request(self, tmp_path):
         cfg = self.spectrum_cfg(tmp_path, theta_a="optimal", theta_b="optimal")

@@ -38,7 +38,14 @@ from nopanet.errors import (
 )
 from nopanet.network import GAMMA_R_REF, K_REF
 from nopanet.static_limit import elimination_matrix
-from tests.test_linalg import lapack_calls, nearest_match_gap, spectral_gap, stable_x  # noqa: F401 (a fixture)
+from tests.test_linalg import (  # noqa: F401 (lapack_calls is a fixture)
+    lapack_calls,
+    nearest_match_gap,
+    q_half_solve,
+    shifted_family,
+    spectral_gap,
+    stable_x,
+)
 from tests.test_network import random_permutation, random_unitary
 
 
@@ -520,7 +527,7 @@ class TestChainNeverBuildsItsNetwork:
 
 
 class TestMirroredCustomNetwork:
-    """A mirrored network that is not wiring inverts I - S22 with one solve on its q half."""
+    """A mirrored network that is not wiring inverts I - S22 with one solve of the whole."""
 
     @pytest.mark.parametrize("big_k", [0.0, K_REF])
     @pytest.mark.parametrize("n", [1, 2, 5, 33])
@@ -532,7 +539,7 @@ class TestMirroredCustomNetwork:
         assert net.wiring is None and linalg._mirrored_half(loop) is not None
         p = NopaParams.from_normalized(0.5 * math.tan(math.pi / (4 * n)), 1.0, big_k)
         ss = build_closed_loop(p, net)
-        assert lapack_calls == [("solve", (2 * n, 2 * n))]
+        assert lapack_calls == [("solve", (4 * n, 4 * n))]
         for got, want in zip((ss.a, ss.b, ss.c, ss.d), literal_closed_loop(p, net)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
@@ -618,7 +625,7 @@ class TestQuadratureSplit:
             ss.a.T,
             np.eye(4 * n) - net.blocks.s22,
             elimination_matrix(static_coefficients(x, 1.0, big_k), net).T,
-            resolvent_t,
+            *resolvent_t,
         )
         for m in matrices:
             assert linalg._mirrored_half(m) is not None
@@ -745,13 +752,14 @@ class TestBatchedTransfer:
 
 
 def full_stack_transfer(ss, omega):
-    """H from ``linalg.solve`` on the whole stack i w I - A^T, then X^T B + D (a batched product)."""
-    w = np.asarray(omega, dtype=float)
-    dim = ss.a.shape[0]
-    resolvent_t = np.empty(w.shape + (dim, dim), dtype=complex)
-    np.negative(ss.a.T, out=resolvent_t)
-    resolvent_t.reshape(w.shape + (dim * dim,))[..., :: dim + 1] += 1j * w[..., None]
-    return np.swapaxes(linalg.solve(resolvent_t, ss.c.T), -1, -2) @ ss.b + ss.d
+    """H from the whole stack i w I - A^T, then X^T B + D (a batched product).
+
+    The stack is solved by ``linalg.solve``, or, when A is mirrored, by one LAPACK call on
+    its q half with the condition checked on the whole stack (``q_half_solve``).
+    """
+    resolvent_t = shifted_family(ss.a.T, 1j * np.asarray(omega, dtype=float))
+    solve = linalg.solve if linalg._mirrored_half(ss.a) is None else q_half_solve
+    return np.swapaxes(solve(resolvent_t, ss.c.T), -1, -2) @ ss.b + ss.d
 
 
 def family_cases():
@@ -790,7 +798,7 @@ def same_bytes(got, want):
 class TestShiftedFamily:
     """``transfer`` solves i w I - A^T as one shifted family of A^T: the q half's family on a
     mirrored A, a byte budget of it per LAPACK call; H and the condition verdict are those of
-    the whole stack, bit for bit."""
+    one solve of the whole stack (of its q half, on a mirrored A), bit for bit."""
 
     @pytest.mark.parametrize("grid", list(FAMILY_GRIDS))
     @pytest.mark.parametrize("n, big_k, seed", family_cases())

@@ -16,6 +16,7 @@ from nopanet import (
     single_nopa_transfer,
     squeezing,
     squeezing_spectrum,
+    stability,
     static_coefficients,
     static_transfer,
     transfer,
@@ -23,8 +24,10 @@ from nopanet import (
 )
 from nopanet.entanglement import SHOT_NOISE_TOTAL, SPECTRUM_CHUNK, _variances
 from nopanet.errors import DimensionError, StabilityError
-from nopanet.network import K_REF
+from nopanet.network import GAMMA_R_REF, K_REF
+from nopanet.oracles import random_unitary
 from tests.test_dynamics import family_cases, family_system, full_stack_transfer
+from tests.test_linalg import lapack_calls  # noqa: F401 (a fixture)
 
 
 class TestSqueezing:
@@ -146,6 +149,61 @@ class TestSqueezingSpectrum:
         (r,) = squeezing_spectrum(ss, [0.5 * p.gamma], 0.2, 0.3)
         assert r.omega == pytest.approx(0.5 * p.gamma)
         assert (r.theta_a, r.theta_b) == (0.2, 0.3)
+
+
+def answers(ss, omegas):
+    """True when ``squeezing_spectrum`` answers, False when it raises ``StabilityError``."""
+    try:
+        squeezing_spectrum(ss, omegas)
+    except StabilityError:
+        return False
+    return True
+
+
+class TestHurwitzVerdict:
+    """``squeezing_spectrum`` takes its verdict from ``stability``: on the chain from its poles,
+    with no eigenvalue call, and on any other network from the dense spectrum of A."""
+
+    @pytest.mark.parametrize("big_k", [0.0, K_REF])
+    @pytest.mark.parametrize("fraction", [0.999, 1.001])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 64])
+    def test_chain_at_its_lossless_bound(self, n, fraction, big_k, lapack_calls):
+        # x past 1 for one NOPA: the parameters are written out rather than normalized
+        epsilon = fraction * math.tan(math.pi / (4 * n)) * GAMMA_R_REF
+        p = NopaParams(epsilon=epsilon, gamma=GAMMA_R_REF, kappa=big_k * epsilon)
+        net = PassiveNetwork.cfb(n)
+        ss = build_closed_loop(p, net)
+        omegas = [0.0, 0.3 * p.gamma]
+        lapack_calls.clear()
+        answered = answers(ss, omegas)
+        assert answered == stability(p, net).stable
+        # unstable only lossless past the bound; the loss shifts every pole left
+        assert answered == (fraction < 1.0 or big_k > 0.0)
+        assert set(lapack_calls) <= {("solve", (2, 2 * n, 2 * n))}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_custom_network_matches_the_dense_spectrum(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        net = PassiveNetwork.from_complex(random_unitary(rng, 2 * n + 2))
+        verdicts = set()
+        for x in (0.02, 0.1, 0.3, 0.6):
+            p = NopaParams.from_normalized(x, 1.0, 0.05 * (seed % 2))
+            ss = build_closed_loop(p, net)
+            want = bool(np.max(np.linalg.eigvals(ss.a).real) < 0)
+            assert answers(ss, [0.0, 0.5 * p.gamma]) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_grid_shape_is_checked_before_the_verdict(self, lapack_calls):
+        # an unstable loop with a 2-d grid is a bad input first
+        p = NopaParams.from_normalized(0.6, 1.0)
+        for net in (PassiveNetwork.cfb(2), PassiveNetwork.from_complex(random_unitary(np.random.default_rng(7), 6))):
+            ss = build_closed_loop(p, net)
+            lapack_calls.clear()
+            with pytest.raises(DimensionError):
+                squeezing_spectrum(ss, [[0.0, 1.0]])
+            assert lapack_calls == []
 
 
 class TestSpectrumFromTheShiftedFamily:

@@ -237,7 +237,7 @@ def nearest_match_gap(got, ref):
 
 
 class TestParitySplit:
-    """A matrix that is not mirrored -- uncoupled or not -- takes the one dense call."""
+    """A matrix with no even-odd coupling, mirrored or not, takes the one dense call."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n", [2, 7, 12, 40])
@@ -329,8 +329,7 @@ PLAIN_CALLS = {
 
 
 def assert_plain_calls(m, b, mirrored_solves, routines=tuple(PLAIN_CALLS)):
-    """Each routine on the unmirrored m returns the bytes of its one dense numpy call."""
-    assert linalg._mirrored_half(m) is None
+    """Each routine on m returns the bytes of its one dense numpy call."""
     for name in routines:
         ours, plain = PLAIN_CALLS[name]
         got, want = ours(m, b), plain(m, b)
@@ -347,7 +346,7 @@ def nudge(m, where):
 
 @pytest.fixture
 def mirrored_solves(monkeypatch):
-    """The calls ``solve`` makes to its mirrored path, recorded as they happen."""
+    """The calls ``linalg`` makes to its mirrored path, recorded as they happen."""
     calls = []
     solve_mirrored = linalg._solve_mirrored
     monkeypatch.setattr(linalg, "_solve_mirrored", lambda *a: calls.append(1) or solve_mirrored(*a))
@@ -360,7 +359,7 @@ def exact_rcond(m):
 
 
 class TestMirroredCondition:
-    """``inverse`` checks a mirrored matrix's condition on the whole matrix, not on q alone."""
+    """``inverse`` checks a mirrored matrix's condition on the whole matrix."""
 
     @pytest.mark.parametrize("order", [3, 8, 40])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -394,17 +393,16 @@ class TestMirroredCondition:
 
 
 class TestMirror:
-    """An odd half equal to D (even half) D is not factored a second time."""
+    """A matrix whose odd half is D (even half) D: ``solve``, ``inverse`` and ``eigenvalues``
+    factor it whole, and only ``solve_shifted`` factors its even half alone."""
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n", [2, 8, 40])
     def test_eigenvalues_match_two_halves_and_dense(self, n, dtype):
         m = mirrored(np.random.default_rng(61 + n), n, dtype)
         evs = linalg.eigenvalues(m)
-        assert nearest_match_gap(evs, np.linalg.eigvals(m)) < 1e-13
+        assert evs.tobytes() == np.linalg.eigvals(m).tobytes()
         assert nearest_match_gap(evs, two_half_eigenvalues(m)) < 1e-13
-        assert np.array_equal(evs[: n // 2], np.linalg.eigvals(m[0::2, 0::2]))
-        assert np.array_equal(evs[: n // 2], evs[n // 2 :])
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("n", [2, 8, 40])
@@ -430,18 +428,20 @@ class TestMirror:
             assert np.max(np.abs(x - dense)) < 1e-13 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("where", [(0, 2), (1, 1), (3, 1), (5, 7)])
-    def test_one_ulp_takes_the_unmirrored_calls(self, where, mirrored_solves):
+    def test_one_ulp_takes_the_unmirrored_calls(self, where, mirrored_solves, lapack_calls):
         rng = np.random.default_rng(79)
+        shifts = np.array([0.0, 0.5j, -2.0j])
         for dtype in (float, complex):
-            m = nudge(mirrored(rng, 8, dtype), where)
-            assert_plain_calls(m, rng.normal(size=(8, 3)), mirrored_solves)
-
-    def test_one_member_of_a_stack_breaks_the_mirror(self, mirrored_solves):
-        rng = np.random.default_rng(83)
-        m = mirrored(rng, 8, complex, (4,))
-        m[2] = nudge(m[2], (3, 3))
-        assert linalg._mirrored_half(m[[0, 1, 3]]) is not None
-        assert_plain_calls(m, rng.normal(size=(8, 2)), mirrored_solves, ["solve"])
+            m = mirrored(rng, 8, dtype)
+            assert linalg._mirrored_half(m) is not None
+            m = nudge(m, where)
+            assert linalg._mirrored_half(m) is None
+            b = rng.normal(size=(8, 3))
+            lapack_calls.clear()
+            x = linalg.solve_shifted(m, shifts, b)
+            assert lapack_calls == [("solve", (3, 8, 8))] and not mirrored_solves
+            assert same_bits(x, linalg.solve(shifted_family(m, shifts), b))
+            assert_plain_calls(m, b, mirrored_solves)
 
     def test_odd_order_never_mirrors(self):
         m = parity_split(np.random.default_rng(89), 7)
@@ -463,14 +463,15 @@ class TestMirror:
 
 
 class TestOneRule:
-    """``solve`` factors the q half of every mirrored system, whatever its size."""
+    """``solve`` factors every system whole, mirrored or not, and whatever its size;
+    ``solve_shifted`` factors only the q half of a mirrored m."""
 
     @pytest.mark.parametrize(
         "shape",
         [(4, 4), (8, 8), (40, 40), (512, 512), (6, 4, 4), (2, 3, 8, 8), (64, 8, 8), (3, 40, 40)],
     )
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_one_lapack_solve_on_q(self, shape, dtype, lapack_calls):
+    def test_one_lapack_solve_of_the_whole(self, shape, dtype, lapack_calls, mirrored_solves):
         rng = np.random.default_rng(shape[-1])
         half = shape[-1] // 2
         q = rng.normal(size=shape[:-2] + (half, half)) + 2.0 * math.sqrt(half) * np.eye(half)
@@ -479,15 +480,21 @@ class TestOneRule:
         m = mirror_of(q)
         b = rng.normal(size=(shape[-1], 3))
         x = linalg.solve(m, b)
-        assert lapack_calls == [("solve", shape[:-2] + (half, half))]
-        dense = np.linalg.solve(m, np.broadcast_to(b, shape[:-2] + b.shape))
-        assert x.shape == dense.shape
-        assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
+        assert lapack_calls == [("solve", shape)] and not mirrored_solves
+        assert same_bits(x, dense_solve(m, b))
 
-    def test_small_system_factors_q(self):
-        m = mirrored(np.random.default_rng(107), 8)
-        b = np.random.default_rng(108).normal(size=(8, 3))
-        assert linalg.solve(m, b).tobytes() == whole_q_solve(m, b).tobytes()
+    @pytest.mark.parametrize(
+        "shifts", [0.0, 0.5j, np.array([]), np.array([0.0, 0.5j, 3.0 - 1j])], ids=["0", "0.5j", "none", "three"]
+    )
+    @pytest.mark.parametrize("n", [4, 8, 40, 320])
+    def test_shifted_family_solves_q_once(self, n, shifts, lapack_calls):
+        rng = np.random.default_rng(n)
+        q = rng.normal(size=(n // 2, n // 2)) + 2.0 * math.sqrt(n) * np.eye(n // 2)
+        m, b = mirror_of(q), rng.normal(size=(n, 3))
+        s = np.asarray(shifts, dtype=complex)
+        x = linalg.solve_shifted(m, s, b)
+        assert lapack_calls == [("solve", s.shape + (n // 2, n // 2))]
+        assert same_bits(x, q_half_solve(shifted_family(m, s), b))
 
 
 def chain_matrices(n, x, y, big_k, omegas=(0.0,)):
@@ -532,17 +539,36 @@ def centro(rng, m, dtype=float, stack=()):
     return c + c[..., ::-1, ::-1]
 
 
-def whole_q_solve(m, b):
-    """``solve`` on a mirrored system as one LAPACK call on its whole q half."""
+def q_half_solve(m, b):
+    """A mirrored system, or stack, solved as one LAPACK call on its q half against
+    [b_even | D b_odd], its condition checked on the whole: the result and errors of
+    ``solve_shifted`` on a mirrored family, bit for bit."""
+    k = b.shape[-1]
+    rhs = linalg._probed(b, m.ndim)
     q = m[..., 0::2, 0::2]
     half = q.shape[-1]
     signs = np.stack([np.ones(half), (-1.0) ** np.arange(half)], -1)[..., None]
-    rhs = np.concatenate([b, np.broadcast_to(linalg._probe(m.shape[-1]), b.shape[:-1] + (1,))], -1)
-    k = rhs.shape[-1]
-    both = (rhs.reshape(rhs.shape[:-2] + (-1, 2, k)) * signs).reshape(rhs.shape[:-2] + (-1, 2 * k))
-    y = np.linalg.solve(q, both)
-    x = (y.reshape(y.shape[:-1] + (2, k)) * signs).reshape(y.shape[:-2] + (-1, k))
-    return x[..., : b.shape[-1]]
+    both = (rhs.reshape(rhs.shape[:-2] + (half, 2, k + 1)) * signs).reshape(rhs.shape[:-2] + (half, 2 * k + 2))
+    try:
+        y = np.linalg.solve(q, both)
+    except np.linalg.LinAlgError:
+        linalg._raise_singular(q, None)
+    x = (y.reshape(y.shape[:-1] + (2, k + 1)) * signs).reshape(y.shape[:-2] + (2 * half, k + 1))
+    linalg._check_condition(m, x, rhs)
+    return x[..., :k]
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def shifted_family(m, shifts):
+    """The complex family s I - m, one member per shift, written as ``solve_shifted`` writes it."""
+    s = np.asarray(shifts)
+    family = np.empty(s.shape + m.shape, dtype=complex)
+    np.negative(m, out=family)
+    family.reshape(s.shape + (m.size,))[..., :: len(m) + 1] += s[..., None]
+    return family
 
 
 def is_centrosymmetric(q):
@@ -550,16 +576,11 @@ def is_centrosymmetric(q):
     return bool((q == q[..., ::-1, ::-1]).all())
 
 
-def assert_whole_q_calls(m, b, routines=("eigenvalues", "solve")):
-    """Each routine on the mirrored m returns the bytes of one LAPACK call on its q half."""
-    q = m[..., 0::2, 0::2]
+def assert_whole_q_calls(m, b):
+    """``solve_shifted`` on the mirrored m returns the bytes of one LAPACK call on its q half's family."""
     assert linalg._mirrored_half(m) is not None
-    for name in routines:
-        if name == "eigenvalues":
-            got, want = linalg.eigenvalues(m), np.concatenate([np.linalg.eigvals(q)] * 2, axis=-1)
-        else:
-            got, want = linalg.solve(m, b), whole_q_solve(m, b)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    shifts = np.array([0.0, 0.3j, -1.5j])
+    assert same_bits(linalg.solve_shifted(m, shifts, b), q_half_solve(shifted_family(m, shifts), b))
 
 
 @pytest.fixture
@@ -575,8 +596,8 @@ def lapack_calls(monkeypatch):
 
 class TestCentroSplit:
     """The chain's q half maps onto itself when the chain is reversed and a swaps with b.
-    ``stability`` splits it there (see ``dynamics``); ``linalg`` never tests for it, so
-    ``eigenvalues`` and ``solve`` factor a mirrored matrix's q whole, centrosymmetric or not."""
+    ``stability``'s fallback splits it there (see ``dynamics``); ``linalg`` never tests for
+    it, so ``solve_shifted`` factors a mirrored matrix's q whole, centrosymmetric or not."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 128])
     def test_chain_q_halves_are_centrosymmetric(self, n):
@@ -605,20 +626,19 @@ class TestCentroSplit:
             residual = np.max(np.abs(m @ x - b))
             assert residual <= max(1e-12, 10 * np.max(np.abs(m @ ref - b)))
 
-    def test_one_lapack_call_on_a_stack_of_two_halves(self, lapack_calls):
+    def test_poles_take_no_lapack_call_and_the_family_one_of_q(self, lapack_calls):
         # stability solves the chain's characteristic equation, with no LAPACK call (its
-        # fallback splits the q half, see test_dynamics); solve factors q whole
+        # fallback splits the q half, see test_dynamics); solve_shifted factors q whole,
+        # and solve the whole system
         for n in (1, 2, 5, 16, 31, 128):
             x = stable_x(n, 1.0, K_REF, 0.5)
+            p = NopaParams.from_normalized(x, 1.0, K_REF)
             a, e, resolvents = chain_matrices(n, x, 1.0, K_REF, (0.1,))
             lapack_calls.clear()
-            evs = stability(NopaParams.from_normalized(x, 1.0, K_REF), PassiveNetwork.cfb(n)).eigenvalues
+            evs = stability(p, PassiveNetwork.cfb(n)).eigenvalues
+            linalg.solve_shifted(a.T, np.array([0.1j * p.gamma]), np.ones((4 * n, 4)))
             linalg.solve(e.T, np.ones((4 * n, 4)))
-            linalg.solve(np.swapaxes(resolvents, -1, -2), np.ones((4 * n, 4)))
-            assert lapack_calls == [
-                ("solve", (2 * n, 2 * n)),
-                ("solve", (1, 2 * n, 2 * n)),
-            ]
+            assert lapack_calls == [("solve", (1, 2 * n, 2 * n)), ("solve", (4 * n, 4 * n))]
             assert spectral_gap(evs, np.linalg.eigvals(a)) <= 1e-13
 
     def test_mirrored_but_not_centrosymmetric(self):
@@ -636,13 +656,6 @@ class TestCentroSplit:
         assert is_centrosymmetric(q)
         assert_whole_q_calls(mirror_of(q), rng.normal(size=(14, 2)))
 
-    def test_stack_with_one_centrosymmetric_member(self):
-        rng = np.random.default_rng(227)
-        q = rng.normal(size=(3, 6, 6)) + 4.0 * np.eye(6)
-        q[1] = centro(rng, 6)
-        assert is_centrosymmetric(q[1])
-        assert_whole_q_calls(mirror_of(q), rng.normal(size=(12, 2)))
-
     def test_singular_half_raises(self):
         # X + Y J = [[1, 2], [2, 4]] is singular, X - Y J = I is not
         x, yj = np.array([[1.0, 1.0], [1.0, 2.5]]), np.array([[0.0, 1.0], [1.0, 1.5]])
@@ -657,7 +670,7 @@ class TestCentroSplit:
 
 
 class TestSingleInverse:
-    """``inverse`` is ``solve`` against the identity: one LAPACK solve, on q if the matrix is mirrored."""
+    """``inverse`` is ``solve`` against the identity: one LAPACK solve of the whole matrix."""
 
     @staticmethod
     def structured(rng, dtype):
@@ -671,26 +684,24 @@ class TestSingleInverse:
         return [mirror_of(q), mirror_of(c), mirror_of(mirror_of(q)), *stack]
 
     @staticmethod
-    def check_q_inverse(m, lapack_calls):
-        """``inverse`` of the mirrored m: one solve on q, close to the dense inverse, C-contiguous."""
+    def check_dense_inverse(m, lapack_calls):
+        """``inverse`` of the mirrored m: one solve of the whole, the bytes of the dense inverse, C-contiguous."""
         assert linalg._mirrored_half(m) is not None
         lapack_calls.clear()
         got = linalg.inverse(m)
-        half = m.shape[-1] // 2
-        assert lapack_calls == [("solve", (half, half))]
+        assert lapack_calls == [("solve", m.shape)]
         want = np.linalg.inv(m)
-        assert got.dtype == want.dtype and got.flags.c_contiguous
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert got.flags.c_contiguous and same_bits(got, want)
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_structured_matrices_solve_q_once(self, dtype, lapack_calls):
+    def test_structured_matrices_are_the_dense_inverse(self, dtype, lapack_calls):
         for m in self.structured(np.random.default_rng(229), dtype):
-            self.check_q_inverse(m, lapack_calls)
+            self.check_dense_inverse(m, lapack_calls)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 10, 32])
     def test_chain_elimination_matrix(self, n, lapack_calls):
         e = chain_matrices(n, stable_x(n, 1.0, 0.0, 0.5), 1.0, 0.0)[1]
-        self.check_q_inverse(e, lapack_calls)
+        self.check_dense_inverse(e, lapack_calls)
 
     @pytest.mark.parametrize("n", [1, 3, 10, 33])
     def test_complex_unitary_loop_is_the_dense_inverse(self, n, lapack_calls):

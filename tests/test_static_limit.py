@@ -338,7 +338,7 @@ class TestExtractUv:
             extract_uv(st)
 
     @pytest.mark.parametrize("n", [2, 10, 40])
-    def test_one_column_from_one_q_half_solve(self, n, lapack_calls, monkeypatch):
+    def test_one_column_from_one_solve(self, n, lapack_calls, monkeypatch):
         coeffs = static_coefficients(0.5 * math.tan(math.pi / (4 * n)), 1.0)
         st = static_transfer(coeffs, PassiveNetwork.cfb(n))
         columns = []
@@ -346,7 +346,7 @@ class TestExtractUv:
         monkeypatch.setattr(oracles, "solve", lambda *a: columns.append(solve(*a)) or columns[-1])
         lapack_calls.clear()
         extract_uv(st)
-        assert lapack_calls == [("solve", (2 * n, 2 * n))]
+        assert lapack_calls == [("solve", (4 * n, 4 * n))]
         # u_p and v_p as the whole inverse gave them
         ((p,),) = (c.T for c in columns)
         whole = np.linalg.inv(elimination_matrix(coeffs, PassiveNetwork.cfb(n)))[:, 0]
