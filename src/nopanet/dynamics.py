@@ -66,7 +66,12 @@ from .network import NopaParams, PassiveNetwork, _cfb_wiring
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Real (A, B, C, D) realization of the closed-loop system, with the NOPAs and network it closes."""
+    """Real (A, B, C, D) realization of the closed-loop system, with the NOPAs and network it closes.
+
+    ``squeezing_spectrum`` takes its Hurwitz verdict from ``params`` and
+    ``network``, not from ``a``: a copy with another ``a`` keeps the verdict
+    of the loop that ``build_closed_loop`` closed.
+    """
 
     a: np.ndarray  # 4N x 4N
     b: np.ndarray  # 4N x (4 + 4N)

@@ -83,8 +83,9 @@ def squeezing_spectrum(
 ) -> list[SqueezingResult]:
     """Per-frequency squeezing of a stable closed loop.
 
-    The Hurwitz verdict is ``stability``'s on the NOPAs and network that
-    ``ss`` closes, so a chain's comes from its poles.  The transfer is
+    The Hurwitz verdict is ``stability``'s on ``ss.params`` and
+    ``ss.network``, not a test of ``ss.a``, so a chain's comes from its
+    poles.  The transfer is
     evaluated in batches of ``SPECTRUM_CHUNK`` frequencies, and V+/V- are
     the squared norms of the two rotated rows of each H.
     """

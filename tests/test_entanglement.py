@@ -181,6 +181,22 @@ class TestHurwitzVerdict:
         assert answered == (fraction < 1.0 or big_k > 0.0)
         assert set(lapack_calls) <= {("solve", (2, 2 * n, 2 * n))}
 
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 64])
+    def test_chain_at_its_lossless_margin(self, n, ulps, lapack_calls):
+        # epsilon = tan(pi/4N) gamma, and one ulp either side: a pole sits at 0 up to
+        # rounding, so the verdict is whatever ``stability`` reads there
+        epsilon = math.tan(math.pi / (4 * n)) * GAMMA_R_REF
+        epsilon = np.nextafter(epsilon, ulps * math.inf) if ulps else epsilon
+        p = NopaParams(epsilon=float(epsilon), gamma=GAMMA_R_REF, kappa=0.0)
+        net = PassiveNetwork.cfb(n)
+        ss = build_closed_loop(p, net)
+        lapack_calls.clear()
+        assert answers(ss, [0.3 * p.gamma, p.gamma]) == stability(p, net).stable
+        assert set(lapack_calls) <= {("solve", (2, 2 * n, 2 * n))}
+        # a grid through the pole is refused either way: by the verdict or by the resolvent
+        assert not answers(ss, [0.0, 0.3 * p.gamma])
+
     @pytest.mark.parametrize("seed", range(8))
     def test_custom_network_matches_the_dense_spectrum(self, seed):
         rng = np.random.default_rng(seed)

@@ -259,13 +259,15 @@ class TestParitySplit:
         assert_plain_calls(m, rng.normal(size=(n, 2)), mirrored_solves, ["solve"])
 
     @pytest.mark.parametrize("where", [(0, 1), (5, 2)])
-    def test_one_coupling_entry_takes_the_dense_call(self, where, mirrored_solves):
+    def test_one_coupling_entry_takes_the_dense_call(self, where, mirrored_solves, lapack_calls):
         # an uncoupled matrix, and a mirrored one, that one coupling entry spoils
         for seed, build in ((53, parity_split), (54, mirrored)):
             rng = np.random.default_rng(seed)
-            m = build(rng, 8)
-            m[where] = 1e-300
-            assert_plain_calls(m, rng.normal(size=(8, 3)), mirrored_solves)
+            for dtype in (float, complex):
+                m = build(rng, 8, dtype)
+                assert (linalg._mirrored_half(m) is not None) == (build is mirrored)
+                m[where] = 1e-300
+                assert_unmirrored_calls(m, rng.normal(size=(8, 3)), mirrored_solves, lapack_calls)
 
     def test_one_coupled_member_of_a_stack_takes_the_dense_call(self, mirrored_solves):
         rng = np.random.default_rng(55)
@@ -335,6 +337,18 @@ def assert_plain_calls(m, b, mirrored_solves, routines=tuple(PLAIN_CALLS)):
         got, want = ours(m, b), plain(m, b)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert not mirrored_solves
+
+
+def assert_unmirrored_calls(m, b, mirrored_solves, lapack_calls):
+    """The 2-d m is not mirrored: ``solve_shifted`` makes one LAPACK call on its whole
+    family, with the bytes of ``solve`` on that stack, and every routine takes its dense call."""
+    assert linalg._mirrored_half(m) is None
+    shifts = np.array([0.0, 0.5j, -2.0j])
+    lapack_calls.clear()
+    x = linalg.solve_shifted(m, shifts, b)
+    assert lapack_calls == [("solve", shifts.shape + m.shape)] and not mirrored_solves
+    assert same_bits(x, linalg.solve(shifted_family(m, shifts), b))
+    assert_plain_calls(m, b, mirrored_solves)
 
 
 def nudge(m, where):
@@ -430,18 +444,10 @@ class TestMirror:
     @pytest.mark.parametrize("where", [(0, 2), (1, 1), (3, 1), (5, 7)])
     def test_one_ulp_takes_the_unmirrored_calls(self, where, mirrored_solves, lapack_calls):
         rng = np.random.default_rng(79)
-        shifts = np.array([0.0, 0.5j, -2.0j])
         for dtype in (float, complex):
             m = mirrored(rng, 8, dtype)
             assert linalg._mirrored_half(m) is not None
-            m = nudge(m, where)
-            assert linalg._mirrored_half(m) is None
-            b = rng.normal(size=(8, 3))
-            lapack_calls.clear()
-            x = linalg.solve_shifted(m, shifts, b)
-            assert lapack_calls == [("solve", (3, 8, 8))] and not mirrored_solves
-            assert same_bits(x, linalg.solve(shifted_family(m, shifts), b))
-            assert_plain_calls(m, b, mirrored_solves)
+            assert_unmirrored_calls(nudge(m, where), rng.normal(size=(8, 3)), mirrored_solves, lapack_calls)
 
     def test_odd_order_never_mirrors(self):
         m = parity_split(np.random.default_rng(89), 7)
